@@ -45,44 +45,31 @@ def with_retry(
 
 @dataclass
 class BatchResult:
-    index: int
     ok: bool
     value: Any = None
     error: Exception | None = None
-    attempts: int = 0
 
 
 def run_batch(
-    tasks: Sequence[Callable[[], Any]],
-    endpoint: str = "batch",
-    max_in_flight: int = 8,
-    max_attempts: int = 3,
-    backoff_base_ms: int = 100,
-    sleep: Callable[[float], None] = time.sleep,
+    tasks: Sequence[Callable[[], Any]], max_in_flight: int = 8
 ) -> list[BatchResult]:
-    """Execute tasks with bounded parallelism; results come back in input
-    order regardless of completion order. Failures are carried per item,
-    never raised out of the pool.
+    """Run each task once with bounded parallelism; results come back in
+    input order regardless of completion order. Failures are carried per
+    item, never raised out of the pool. Retry belongs to the clients.
     """
     if max_in_flight < 1:
         raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
     if not tasks:
         return []
 
-    def run_one(index: int, task: Callable[[], Any]) -> BatchResult:
+    def run_one(task: Callable[[], Any]) -> BatchResult:
         try:
-            value, attempts = with_retry(
-                task, endpoint, max_attempts, backoff_base_ms, sleep=sleep
-            )
-            return BatchResult(index=index, ok=True, value=value, attempts=attempts)
-        except BackendUnavailable as exc:
-            return BatchResult(index=index, ok=False, error=exc, attempts=exc.attempts)
+            return BatchResult(ok=True, value=task())
         except Exception as exc:  # noqa: BLE001 - per-item error channel
-            return BatchResult(index=index, ok=False, error=exc, attempts=1)
+            return BatchResult(ok=False, error=exc)
 
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        futures = [pool.submit(run_one, i, task) for i, task in enumerate(tasks)]
-        return [future.result() for future in futures]
+        return list(pool.map(run_one, tasks))
 
 
 def enforce_failure_budget(

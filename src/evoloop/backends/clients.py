@@ -37,7 +37,6 @@ class EndpointConfig:
     timeout_s: float = 30.0
     max_attempts: int = 3
     backoff_base_ms: int = 100
-    max_in_flight: int = 8
 
     def __post_init__(self):
         if self.timeout_s <= 0:
@@ -46,8 +45,6 @@ class EndpointConfig:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.backoff_base_ms <= 0:
             raise ValueError(f"backoff_base_ms must be positive, got {self.backoff_base_ms}")
-        if self.max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
 
 
 class TranslationMode(str, enum.Enum):

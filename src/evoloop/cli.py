@@ -81,7 +81,7 @@ class RunConfig:
 
 
 def _endpoint_from_json(obj: dict) -> EndpointConfig:
-    allowed = {"base_url", "timeout_s", "max_attempts", "backoff_base_ms", "max_in_flight"}
+    allowed = {"base_url", "timeout_s", "max_attempts", "backoff_base_ms"}
     unknown = set(obj) - allowed
     if unknown:
         raise UsageError(f"unknown endpoint config keys: {sorted(unknown)}")
@@ -465,14 +465,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     )
     out_dir = Path(args.out) if args.out else ws / "classify"
     result = partition_and_emit(scored, args.round_index, str(out_dir), workspace=str(ws))
-    jobspec_path = out_dir / "jobspec.json"
-    jobspec_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(jobspec_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            result.jobspec.to_json() if result.jobspec else None,
-            fh, ensure_ascii=False, sort_keys=True, indent=2,
-        )
-        fh.write("\n")
     print(f"positives={result.n_positive} negatives={result.n_negative}")
     if result.warning:
         print(f"warning: {result.warning}")
@@ -482,7 +474,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "n_negative": result.n_negative,
         "positives": os.path.relpath(result.positives_path, ws),
         "negatives": os.path.relpath(result.negatives_path, ws),
-        "jobspec": os.path.relpath(jobspec_path, ws),
+        "jobspec": os.path.relpath(result.jobspec_path, ws),
         "warning": result.warning,
     }
     if args.report:

@@ -81,19 +81,10 @@ SUPPORTED_LANGUAGES: tuple[str, ...] = tuple(sorted(_TAXONOMY))
 SPACELESS_SCRIPTS: frozenset[str] = frozenset({"cmn", "jpn", "tha", "khm", "lao", "mya"})
 
 
-def language_name(code: str) -> str:
-    _require_known(code)
-    return _TAXONOMY[code][0]
-
-
 def resource_level(code: str) -> ResourceLevel:
     """Resource level of a supported language code."""
     _require_known(code)
     return _TAXONOMY[code][1]
-
-
-def is_supported(code: str) -> bool:
-    return code in _TAXONOMY
 
 
 def _require_known(code: str, line_no: int | None = None) -> None:

@@ -136,6 +136,7 @@ class JobSpec:
             raise ValueError("JobSpec requires at least one dataset")
         if dict(self.adapter_meta) != dict(ADAPTER_META):
             raise ValueError("adapter_meta must carry the fixed architecture constants")
+        object.__setattr__(self, "adapter_meta", ADAPTER_META)
 
     @classmethod
     def build(
@@ -169,6 +170,7 @@ class JobSpec:
             trainable=frozenset(Trainable(t) for t in obj["trainable"]),  # type: ignore[union-attr]
             datasets=tuple(str(p) for p in obj["datasets"]),  # type: ignore[union-attr]
             optimizer=OptimizerConfig.from_json(obj["optimizer"]),  # type: ignore[arg-type]
+            adapter_meta=obj["adapter_meta"],  # type: ignore[arg-type]
         )
 
 

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional
 
 from ..errors import ResumeStateCorrupt
 
-__all__ = ["Journal", "PHASE_FILES", "PHASES"]
+__all__ = ["Journal", "PHASE_FILES", "PHASES", "write_json"]
 
 LEDGER_NAME = "journal.json"
 ROUNDS_DIR = "rounds"
@@ -50,12 +50,13 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_atomic(path: Path, text: str) -> None:
+def write_json(path: Path, obj) -> None:
+    """Write obj as sorted, indented JSON through a temp file and a rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -104,8 +105,7 @@ class Journal:
         return False
 
     def _flush(self) -> None:
-        text = json.dumps(self._ledger, sort_keys=True, ensure_ascii=False, indent=2)
-        write_atomic(self.ledger_path, text + "\n")
+        write_json(self.ledger_path, self._ledger)
 
     # --- paths ----------------------------------------------------------
 
@@ -181,13 +181,6 @@ class Journal:
         rounds = self._ledger.setdefault("rounds", {})
         rounds.setdefault(str(round_index), {})[phase] = entry
         self._flush()
-
-    def completed_rounds(self) -> List[int]:
-        done = []
-        for key, phases in self._ledger.get("rounds", {}).items():
-            if EVALUATION in phases:
-                done.append(int(key))
-        return sorted(done)
 
 
 def fingerprint_inputs(

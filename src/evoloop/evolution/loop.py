@@ -13,21 +13,19 @@ import json
 import logging
 import shlex
 import subprocess
-from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
-from ..backends.batch import DEFAULT_FAILURE_BUDGET
 from ..corpus import Sample, load_manifest, save_manifest
 from ..errors import EmptyInput, ResumeStateCorrupt, UpdateHookFailed
 from . import journal as journal_mod
-from .journal import Journal, fingerprint_inputs, write_atomic
+from .journal import Journal, fingerprint_inputs, write_json
 from .phases import (
     empty_positives_warning,
     partition_and_emit,
     run_acquisition,
     run_evaluation,
     run_refinement,
-    scored_line,
+    write_scored_manifest,
 )
 from .types import (
     Backends,
@@ -117,10 +115,6 @@ def _emit(events, round_index: int, phase: str, source: str) -> None:
         events.append({"round": round_index, "phase": phase, "source": source})
 
 
-def _dump_json(path: Path, obj) -> None:
-    write_atomic(path, json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
-
-
 def run_loop(
     train_samples: Sequence[Sample],
     eval_samples: Sequence[Sample],
@@ -130,7 +124,6 @@ def run_loop(
     workspace: str,
     update_hook=None,
     version: Optional[ModelVersion] = None,
-    failure_budget: float = DEFAULT_FAILURE_BUDGET,
     max_in_flight: int = 8,
     events: Optional[list] = None,
     after_phase: Optional[Callable[[int, str], None]] = None,
@@ -161,15 +154,14 @@ def run_loop(
     if version is not None:
         version.set(jrnl.model_version())
 
-    kwargs = dict(failure_budget=failure_budget, max_in_flight=max_in_flight)
-
     # baseline evaluation of the unmodified model anchors round-1 delta
     if jrnl.has_baseline():
         baseline = jrnl.baseline()
         _emit(events, 0, "baseline", "journal")
     else:
         baseline = run_evaluation(
-            eval_samples, config, backends.tts, backends.translate, backends.score, **kwargs
+            eval_samples, config, backends.tts, backends.translate, backends.score,
+            max_in_flight=max_in_flight,
         )
         jrnl.set_baseline(baseline)
         _emit(events, 0, "baseline", "fresh")
@@ -187,7 +179,7 @@ def run_loop(
             _emit(events, k, journal_mod.ACQUISITION, "journal")
         else:
             acquired = run_acquisition(
-                train_samples, voice_pool, config, backends.tts, **kwargs
+                train_samples, voice_pool, config, backends.tts, max_in_flight=max_in_flight
             )
             save_manifest(acquired, acq_path)
             jrnl.record_phase(k, journal_mod.ACQUISITION)
@@ -204,12 +196,10 @@ def run_loop(
             _emit(events, k, journal_mod.REFINEMENT, "journal")
         else:
             scored = run_refinement(
-                acquired, config, backends.translate, backends.score, **kwargs
+                acquired, config, backends.translate, backends.score,
+                max_in_flight=max_in_flight,
             )
-            with open(scored_path, "w", encoding="utf-8") as fh:
-                for item in scored:
-                    fh.write(json.dumps(scored_line(item), ensure_ascii=False, sort_keys=True))
-                    fh.write("\n")
+            write_scored_manifest(scored, scored_path)
             jrnl.record_phase(k, journal_mod.REFINEMENT)
             _emit(events, k, journal_mod.REFINEMENT, "fresh")
             if after_phase is not None:
@@ -226,14 +216,9 @@ def run_loop(
         else:
             part = partition_and_emit(scored, k, str(rdir), workspace=workspace)
             warning = part.warning
-            jobspec_path = rdir / "jobspec.json"
-            _dump_json(
-                jobspec_path,
-                part.jobspec.to_json() if part.jobspec is not None else None,
-            )
             trained = part.jobspec is not None
             if trained and update_hook is not None:
-                run_update_hook(update_hook, str(jobspec_path))
+                run_update_hook(update_hook, part.jobspec_path)
             jrnl.record_phase(k, journal_mod.UPDATE, trained=trained)
             _emit(events, k, journal_mod.UPDATE, "fresh")
             if after_phase is not None:
@@ -252,7 +237,7 @@ def run_loop(
         else:
             eval_score, by_direction = run_evaluation(
                 eval_samples, config, backends.tts, backends.translate,
-                backends.score, by_direction=True, **kwargs
+                backends.score, max_in_flight=max_in_flight, by_direction=True,
             )
             best = max([baseline] + [r.eval_score for r in history])
             delta = eval_score - best
@@ -274,7 +259,7 @@ def run_loop(
             obj["eval_by_direction"] = by_direction
             if warning:
                 obj["warnings"] = [warning]
-            _dump_json(state_path, obj)
+            write_json(state_path, obj)
             jrnl.record_phase(k, journal_mod.EVALUATION)
             _emit(events, k, journal_mod.EVALUATION, "fresh")
             if after_phase is not None:

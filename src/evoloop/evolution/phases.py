@@ -14,18 +14,13 @@ import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .. import curriculum
-from ..backends.batch import DEFAULT_FAILURE_BUDGET, run_batch
-from ..corpus import AudioRef, Sample, save_manifest
-from ..errors import (
-    DurationOverrun,
-    EmptyEvalSet,
-    EmptyInput,
-    FailureBudgetExceeded,
-    MissingAudio,
-)
+from ..backends.batch import enforce_failure_budget, run_batch
+from ..corpus import AudioRef, Sample
+from ..errors import DurationOverrun, EmptyEvalSet, EmptyInput, MissingAudio
+from .journal import write_json
 from .types import (
     EvolutionConfig,
     Label,
@@ -44,6 +39,7 @@ __all__ = [
     "run_evaluation",
     "PartitionResult",
     "scored_line",
+    "write_scored_manifest",
     "empty_positives_warning",
 ]
 
@@ -69,9 +65,28 @@ def choose_voice(seed: int, sample_id: str, voice_pool: Sequence[str]) -> str:
     return voice_pool[rng.randrange(len(voice_pool))]
 
 
-def _check_budget(failures: int, total: int, budget: float) -> None:
-    if total and failures / total > budget:
-        raise FailureBudgetExceeded(failures, total, budget)
+def _fan_out(
+    what: str,
+    samples: Sequence[Sample],
+    make_task: Callable[[Sample], Callable[[], Any]],
+    max_in_flight: int,
+) -> List[Tuple[Sample, Any]]:
+    """Run one task per sample, once each, and keep the survivors.
+
+    Each failure is logged with its sample id and dropped; more failures
+    than the failure budget allows raise FailureBudgetExceeded. Returns
+    (sample, value) pairs in input order.
+    """
+    samples = list(samples)
+    results = run_batch([make_task(s) for s in samples], max_in_flight=max_in_flight)
+    survivors = []
+    for sample, result in zip(samples, results):
+        if result.ok:
+            survivors.append((sample, result.value))
+        else:
+            log.warning("%s failed for %s: %s", what, sample.id, result.error)
+    enforce_failure_budget(results)
+    return survivors
 
 
 def run_acquisition(
@@ -79,7 +94,6 @@ def run_acquisition(
     voice_pool: Sequence[str],
     config: EvolutionConfig,
     tts,
-    failure_budget: float = DEFAULT_FAILURE_BUDGET,
     max_in_flight: int = 8,
 ) -> List[Sample]:
     """Synthesize speech for every sample; returns enriched samples.
@@ -91,11 +105,8 @@ def run_acquisition(
     """
     if not voice_pool:
         raise ValueError("voice_pool must be non-empty")
-    samples = list(samples)
-    if not samples:
-        return []
 
-    def make_task(sample: Sample) -> Callable[[], AudioRef]:
+    def make_task(sample: Sample) -> Callable[[], Sample]:
         voice = choose_voice(config.seed, sample.id, voice_pool)
         target = (
             sample.authentic_audio.duration_s
@@ -103,31 +114,16 @@ def run_acquisition(
             else None
         )
 
-        def work() -> AudioRef:
-            return tts.synthesize(sample.text, voice, target_duration_s=target)
+        def work() -> Sample:
+            try:
+                audio = tts.synthesize(sample.text, voice, target_duration_s=target)
+            except DurationOverrun as exc:
+                return sample.with_synthetic_audio(exc.audio, degraded=True)
+            return sample.with_synthetic_audio(audio)
 
         return work
 
-    # retries live inside the client; the batch layer only fans out
-    results = run_batch(
-        [make_task(s) for s in samples],
-        endpoint="tts",
-        max_in_flight=max_in_flight,
-        max_attempts=1,
-    )
-
-    out: List[Sample] = []
-    failures = 0
-    for sample, result in zip(samples, results):
-        if result.ok:
-            out.append(sample.with_synthetic_audio(result.value))
-        elif isinstance(result.error, DurationOverrun):
-            out.append(sample.with_synthetic_audio(result.error.audio, degraded=True))
-        else:
-            failures += 1
-            log.warning("synthesis failed for %s: %s", sample.id, result.error)
-    _check_budget(failures, len(samples), failure_budget)
-    return out
+    return [out for _, out in _fan_out("synthesis", samples, make_task, max_in_flight)]
 
 
 def _pick_audio(sample: Sample, source: SpeechSource) -> Tuple[AudioRef, SpeechUsed]:
@@ -152,7 +148,6 @@ def run_refinement(
     config: EvolutionConfig,
     translate,
     score,
-    failure_budget: float = DEFAULT_FAILURE_BUDGET,
     max_in_flight: int = 8,
 ) -> List[ScoredSample]:
     """Score text-only vs speech-guided translation for each sample.
@@ -160,48 +155,30 @@ def run_refinement(
     Degraded samples are skipped (their audio is unusable by contract)
     and logged. Everything else must carry audio per config.speech_source.
     """
-    active: List[Tuple[Sample, AudioRef, SpeechUsed]] = []
+    active: List[Sample] = []
     skipped = 0
     for sample in samples:
         if sample.degraded:
             skipped += 1
             log.info("skipping degraded sample %s", sample.id)
             continue
-        audio, used = _pick_audio(sample, config.speech_source)
-        active.append((sample, audio, used))
+        active.append(sample)
     if skipped:
         log.warning("refinement skipped %d degraded sample(s)", skipped)
-    if not active:
-        return []
 
-    def make_task(sample: Sample, audio: AudioRef) -> Callable[[], Tuple[float, float]]:
-        def work() -> Tuple[float, float]:
+    def make_task(sample: Sample) -> Callable[[], ScoredSample]:
+        audio, used = _pick_audio(sample, config.speech_source)
+
+        def work() -> ScoredSample:
             text_only = translate.translate("mt", sample.text, None, sample.direction)
             s1 = score.score(sample.text, text_only.text, sample.reference)
             guided = translate.translate("smt", sample.text, audio, sample.direction)
             s2 = score.score(sample.text, guided.text, sample.reference)
-            return s1, s2
+            return ScoredSample.from_scores(sample, used, s1, s2)
 
         return work
 
-    results = run_batch(
-        [make_task(s, a) for s, a, _ in active],
-        endpoint="refine",
-        max_in_flight=max_in_flight,
-        max_attempts=1,
-    )
-
-    scored: List[ScoredSample] = []
-    failures = 0
-    for (sample, _, used), result in zip(active, results):
-        if not result.ok:
-            failures += 1
-            log.warning("refinement failed for %s: %s", sample.id, result.error)
-            continue
-        s1, s2 = result.value
-        scored.append(ScoredSample.from_scores(sample, used, s1, s2))
-    _check_budget(failures, len(active), failure_budget)
-    return scored
+    return [item for _, item in _fan_out("refinement", active, make_task, max_in_flight)]
 
 
 def scored_line(item: ScoredSample) -> dict:
@@ -218,7 +195,7 @@ def scored_line(item: ScoredSample) -> dict:
     return row
 
 
-def _write_scored_manifest(items: Sequence[ScoredSample], path: Path) -> None:
+def write_scored_manifest(items: Sequence[ScoredSample], path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for item in items:
@@ -230,6 +207,7 @@ def _write_scored_manifest(items: Sequence[ScoredSample], path: Path) -> None:
 class PartitionResult:
     positives_path: str
     negatives_path: str
+    jobspec_path: str
     jobspec: Optional[curriculum.JobSpec]
     n_positive: int
     n_negative: int
@@ -244,7 +222,7 @@ def partition_and_emit(
 ) -> PartitionResult:
     """Split scored samples by label and emit the continual-training spec.
 
-    Both manifests are always written (possibly empty) so the journal
+    Both manifests and `jobspec.json` are always written so the journal
     layout is uniform. Only positives feed the JobSpec; with zero
     positives there is nothing to train on, so the spec is null and the
     result carries a warning instead of failing the round.
@@ -261,8 +239,8 @@ def partition_and_emit(
 
     pos_path = out / "positives.jsonl"
     neg_path = out / "negatives.jsonl"
-    _write_scored_manifest(positives, pos_path)
-    _write_scored_manifest(negatives, neg_path)
+    write_scored_manifest(positives, pos_path)
+    write_scored_manifest(negatives, neg_path)
 
     if workspace is not None:
         dataset_ref = os.path.relpath(pos_path, workspace).replace(os.sep, "/")
@@ -278,10 +256,13 @@ def partition_and_emit(
         jobspec = None
         warning = empty_positives_warning(round_index)
         log.warning("%s", warning)
+    jobspec_path = out / "jobspec.json"
+    write_json(jobspec_path, jobspec.to_json() if jobspec is not None else None)
 
     return PartitionResult(
         positives_path=str(pos_path),
         negatives_path=str(neg_path),
+        jobspec_path=str(jobspec_path),
         jobspec=jobspec,
         n_positive=len(positives),
         n_negative=len(negatives),
@@ -295,15 +276,16 @@ def run_evaluation(
     tts,
     translate,
     score,
-    failure_budget: float = DEFAULT_FAILURE_BUDGET,
     max_in_flight: int = 8,
     by_direction: bool = False,
 ):
     """Mean speech-guided translation score over the eval set.
 
     All eval speech uses the single fixed voice so that round-over-round
-    deltas measure the model, not voice variation. With by_direction the
-    return value is (mean, {"src-tgt": per-direction mean, ...}).
+    deltas measure the model, not voice variation. Samples that fail
+    within the failure budget are left out of every mean. With
+    by_direction the return value is (mean, {"src-tgt": per-direction
+    mean, ...}).
     """
     eval_samples = list(eval_samples)
     if not eval_samples:
@@ -320,27 +302,13 @@ def run_evaluation(
 
         return work
 
-    results = run_batch(
-        [make_task(s) for s in eval_samples],
-        endpoint="eval",
-        max_in_flight=max_in_flight,
-        max_attempts=1,
-    )
-    values = []
-    per_direction: dict = {}
-    failures = 0
-    for sample, result in zip(eval_samples, results):
-        if not result.ok:
-            failures += 1
-            log.warning("evaluation failed for %s: %s", sample.id, result.error)
-            continue
-        values.append(result.value)
-        per_direction.setdefault(sample.direction, []).append(result.value)
-    _check_budget(failures, len(eval_samples), failure_budget)
-    if not values:
-        raise EmptyEvalSet("no eval sample produced a score")
+    scored = _fan_out("evaluation", eval_samples, make_task, max_in_flight)
+    values = [value for _, value in scored]
     mean = sum(values) / len(values)
     if by_direction:
+        per_direction: dict = {}
+        for sample, value in scored:
+            per_direction.setdefault(sample.direction, []).append(value)
         breakdown = {
             f"{src}-{tgt}": sum(vals) / len(vals)
             for (src, tgt), vals in sorted(per_direction.items())

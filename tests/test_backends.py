@@ -302,6 +302,4 @@ class TestEndpointConfig:
         with pytest.raises(ValueError):
             EndpointConfig(max_attempts=0)
         with pytest.raises(ValueError):
-            EndpointConfig(max_in_flight=0)
-        with pytest.raises(ValueError):
             EndpointConfig(backoff_base_ms=0)

@@ -198,9 +198,10 @@ def test_bad_config_json_is_usage_error(tmp_path):
 
 def test_unknown_endpoint_key_is_usage_error(tmp_path):
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"endpoints": {"tts": {"url": "http://x"}}}))
-    with pytest.raises(UsageError):
-        load_run_config(parse(["validate", "m.jsonl", "--config", conf]))
+    for spec, key in (({"url": "http://x"}, "url"), ({"max_in_flight": 2}, "max_in_flight")):
+        conf.write_text(json.dumps({"endpoints": {"tts": spec}}))
+        with pytest.raises(UsageError, match=key):
+            load_run_config(parse(["validate", "m.jsonl", "--config", conf]))
 
 
 def test_invalid_epsilon_flag_is_usage_error(corpus_dir):

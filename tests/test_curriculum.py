@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ from evoloop.curriculum import (
     trainable_for,
 )
 from evoloop.errors import MissingBinding, MissingManifest
+
+JOBSPEC_DOCS = Path(__file__).resolve().parents[1] / "docs" / "jobspecs"
 
 BINDINGS = {
     Stage.ASR: ["data/asr.jsonl"],
@@ -209,6 +212,21 @@ class TestSerialization:
             assert back == spec
             assert hash(back) == hash(spec)
             assert json.dumps(back.to_json(), sort_keys=True) == blob
+
+    def test_committed_examples_round_trip_byte_identical(self):
+        paths = sorted(JOBSPEC_DOCS.glob("*.json"))
+        assert paths
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            spec = JobSpec.from_json(json.loads(text))
+            again = json.dumps(spec.to_json(), ensure_ascii=False, sort_keys=True, indent=2)
+            assert again + "\n" == text, path.name
+
+    def test_from_json_rejects_wrong_adapter_meta(self):
+        obj = json.loads((JOBSPEC_DOCS / "asr.json").read_text(encoding="utf-8"))
+        obj["adapter_meta"]["queries"] = 81
+        with pytest.raises(ValueError):
+            JobSpec.from_json(obj)
 
     def test_json_shape(self, tmp_path):
         manifest = tmp_path / "positives.jsonl"

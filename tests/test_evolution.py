@@ -23,6 +23,7 @@ from evoloop.errors import (
     EmptyInput,
     FailureBudgetExceeded,
     MissingAudio,
+    PermanentBackendError,
     ResumeStateCorrupt,
     UpdateHookFailed,
 )
@@ -483,6 +484,79 @@ class TestEvaluation:
                 TranslateClient(EchoTranslator(), cache),
                 ScoreClient(MockScorer(), cache),
             )
+
+
+class FailingScorer:
+    """Token-F1 scorer that fails permanently for the given source texts."""
+
+    def __init__(self, sources):
+        self.inner = MockScorer()
+        self.sources = frozenset(sources)
+
+    def score(self, payload):
+        if payload["source"] in self.sources:
+            raise PermanentBackendError(422, "unscorable", payload["source"])
+        return self.inner.score(payload)
+
+
+class TestFailuresWithinBudget:
+    """One permanent failure in 20 samples is exactly the 5% budget."""
+
+    def test_refinement_drops_the_failed_sample(self, tmp_path, caplog):
+        acquired = acquire(tmp_path, make_samples(20))
+        failed = acquired[7]
+        translate, _ = simple_clients(tmp_path)
+        score = ScoreClient(FailingScorer([failed.text]), ContentCache(tmp_path / "c2"))
+        scored = run_refinement(acquired, EvolutionConfig(), translate, score)
+        assert [s.sample_id for s in scored] == [s.id for s in acquired if s is not failed]
+        assert f"refinement failed for {failed.id}" in caplog.text
+
+    def test_refinement_second_failure_exceeds_budget(self, tmp_path):
+        acquired = acquire(tmp_path, make_samples(20))
+        translate, _ = simple_clients(tmp_path)
+        scorer = FailingScorer([acquired[3].text, acquired[15].text])
+        score = ScoreClient(scorer, ContentCache(tmp_path / "c2"))
+        with pytest.raises(FailureBudgetExceeded):
+            run_refinement(acquired, EvolutionConfig(), translate, score)
+
+    def _eval_samples(self):
+        samples = []
+        for i in range(20):
+            tgt = "khm" if i % 2 == 0 else "lao"
+            text = f"source text {i} with body"
+            ref = text if i % 3 == 0 else f"source reference {i} with tail"
+            samples.append(Sample.build("eng", tgt, text, ref))
+        return samples
+
+    def _evaluate(self, tmp_path, samples, failing):
+        cache = ContentCache(tmp_path / "cache")
+        return run_evaluation(
+            samples,
+            EvolutionConfig(fixed_eval_voice="narrator"),
+            TtsClient(MockTts(str(tmp_path)), cache),
+            TranslateClient(EchoTranslator(), cache),
+            ScoreClient(FailingScorer(failing), cache),
+            by_direction=True,
+        )
+
+    def test_evaluation_means_cover_only_survivors(self, tmp_path, caplog):
+        from evoloop.backends.mock import token_f1
+
+        samples = self._eval_samples()
+        failed = samples[4]
+        mean, by_direction = self._evaluate(tmp_path, samples, [failed.text])
+        survivors = [s for s in samples if s is not failed]
+        expected = [token_f1(s.text, s.reference) for s in survivors]
+        assert mean == pytest.approx(sum(expected) / len(expected), abs=1e-12)
+        for key, tgt in (("eng-khm", "khm"), ("eng-lao", "lao")):
+            values = [token_f1(s.text, s.reference) for s in survivors if s.tgt_lang == tgt]
+            assert by_direction[key] == pytest.approx(sum(values) / len(values), abs=1e-12)
+        assert f"evaluation failed for {failed.id}" in caplog.text
+
+    def test_evaluation_second_failure_exceeds_budget(self, tmp_path):
+        samples = self._eval_samples()
+        with pytest.raises(FailureBudgetExceeded):
+            self._evaluate(tmp_path, samples, [samples[0].text, samples[19].text])
 
 
 # --- convergence rule ------------------------------------------------------------

@@ -70,7 +70,10 @@ class ProtocolHandler(BaseHTTPRequestHandler):
 def server():
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), ProtocolHandler)
     httpd.state = {"requests": [], "fail_next": 0}
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    # a short poll keeps shutdown() in teardown from waiting 0.5 s per test
+    thread = threading.Thread(
+        target=httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         yield httpd
