@@ -483,8 +483,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _evaluate_rows(args, cfg: RunConfig) -> List[DirectionScore]:
+    """Rows for the directions --direction selects; only those are scored."""
     if args.direction_scores:
-        return _direction_rows_from_file(args.direction_scores)
+        return _filter_directions(
+            _direction_rows_from_file(args.direction_scores), args.direction
+        )
     if not args.manifest:
         raise UsageError("evaluate needs a manifest or --direction-scores")
     samples = _load_samples(args.manifest, cfg.strict_manifests)
@@ -503,7 +506,9 @@ def _evaluate_rows(args, cfg: RunConfig) -> List[DirectionScore]:
     rows = []
     from .corpus import split_directions
 
-    for direction, group in split_directions(samples).items():
+    groups = split_directions(samples)
+    for direction in _select_directions(list(groups), args.direction):
+        group = groups[direction]
         hyp_texts = [hyps[s.id] for s in group]
         refs = [s.reference for s in group]
         spbleu = corpus_spbleu(hyp_texts, refs, table, smoothing=cfg.smoothing)
@@ -521,20 +526,28 @@ def _evaluate_rows(args, cfg: RunConfig) -> List[DirectionScore]:
     return rows
 
 
-def _filter_directions(rows: List[DirectionScore], spec: Optional[str]) -> List[DirectionScore]:
+def _select_directions(
+    directions: List[Tuple[str, str]], spec: Optional[str]
+) -> List[Tuple[str, str]]:
+    """The directions a comma-separated src-tgt spec keeps, in input order."""
     if not spec:
-        return rows
+        return directions
     wanted = {tuple(item.split("-", 1)) for item in spec.split(",") if item}
-    filtered = [r for r in rows if r.direction in wanted]
-    if not filtered:
+    selected = [d for d in directions if d in wanted]
+    if not selected:
         raise UsageError(f"no rows match --direction {spec}")
-    return filtered
+    return selected
+
+
+def _filter_directions(rows: List[DirectionScore], spec: Optional[str]) -> List[DirectionScore]:
+    keep = set(_select_directions([r.direction for r in rows], spec))
+    return [r for r in rows if r.direction in keep]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     ws = _workspace(cfg)
-    rows = _filter_directions(_evaluate_rows(args, cfg), args.direction)
+    rows = _evaluate_rows(args, cfg)
     for line in render_direction_table(rows):
         print(line)
     avg_sp, avg_comet = average_directions(rows)

@@ -1,6 +1,5 @@
 """Translation quality metrics: BLEU/spBLEU, segmentation, aggregation."""
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .aggregate import (
     DirectionScore,
     aggregate_by_resource,
@@ -13,7 +12,6 @@ from .spm import PieceTable, load_piece_table, make_table, sp_segment, sp_segmen
 from .tokenizer import normalize_13a, tokenize_13a
 
 __all__ = [
-    "KERNEL_BACKEND",
     "BleuResult",
     "DirectionScore",
     "PieceTable",

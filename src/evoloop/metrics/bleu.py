@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..errors import EmptyCorpus, LengthMismatch
-from ._kernels import ngram_stats
 from .spm import PieceTable, sp_segment
 from .tokenizer import tokenize_13a
 
@@ -47,10 +46,46 @@ def _resolve_tokenizer(tokenizer) -> Callable[[str], list[str]]:
         return tokenize_13a
     if isinstance(tokenizer, PieceTable):
         table = tokenizer
-        return lambda text: sp_segment(text, table)
+        # one memo per corpus, so it holds only the words being scored
+        memo: dict = {}
+        return lambda text: sp_segment(text, table, memo)
     if callable(tokenizer):
         return tokenizer
     raise ValueError(f"unsupported tokenizer: {tokenizer!r}")
+
+
+def ngram_stats(hyp_tokens, ref_tokens, max_order):
+    """Clipped n-gram statistics for one sentence pair.
+
+    Returns (correct, total), each a list of length max_order where slot
+    n-1 holds the clipped match count / hypothesis n-gram count for order n.
+    """
+    h_len = len(hyp_tokens)
+    r_len = len(ref_tokens)
+    correct = [0] * max_order
+    total = [0] * max_order
+    for n in range(1, max_order + 1):
+        h_count = h_len - n + 1
+        if h_count <= 0:
+            break
+        total[n - 1] = h_count
+        ref_counts = {}
+        for i in range(r_len - n + 1):
+            key = tuple(ref_tokens[i:i + n])
+            ref_counts[key] = ref_counts.get(key, 0) + 1
+        if not ref_counts:
+            continue
+        hyp_counts = {}
+        for i in range(h_count):
+            key = tuple(hyp_tokens[i:i + n])
+            hyp_counts[key] = hyp_counts.get(key, 0) + 1
+        c = 0
+        for key, count in hyp_counts.items():
+            r = ref_counts.get(key, 0)
+            if r:
+                c += count if count < r else r
+        correct[n - 1] = c
+    return correct, total
 
 
 def _ln(value: float) -> float:

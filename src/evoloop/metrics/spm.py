@@ -10,6 +10,13 @@ Input text is marker-normalized before decoding: every U+0020 becomes the
 marker U+2581 and one marker is prepended. Codepoints no piece covers are
 emitted as the table's unk piece, one codepoint per emission, so
 segmentation is total for any input.
+
+When the table is word-local (no piece holds the marker past its first
+codepoint), every segmentation breaks before each marker, so each word,
+from its marker up to the next, is decoded on its own and the text's
+segmentation is the concatenation of the words' segmentations.
+Callers scoring many strings can pass one memo, so each distinct word is
+decoded once.
 """
 
 from __future__ import annotations
@@ -19,9 +26,10 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from ..errors import PieceTableError
-from ._kernels import viterbi_decode
 
 SPACE_MARKER = "▁"
+
+_NEG_INF = float("-inf")
 
 _CONTROL_PIECES = ("<unk>", "<s>", "</s>")
 
@@ -32,9 +40,12 @@ class PieceTable:
     Log-probabilities must be finite and non-positive. When no unknown-piece
     score is supplied, a penalty 10 below the worst real piece is derived, so
     the decoder prefers any dictionary segmentation over an unknown step.
+    word_local is True when no piece holds the marker past its first
+    codepoint; such a table decodes word by word.
     """
 
-    __slots__ = ("pieces", "unk_piece", "unk_logprob", "space_marker", "max_piece_len")
+    __slots__ = ("pieces", "unk_piece", "unk_logprob", "space_marker", "max_piece_len",
+                 "word_local")
 
     def __init__(
         self,
@@ -57,6 +68,7 @@ class PieceTable:
         self.unk_logprob = float(unk_logprob)
         self.space_marker = SPACE_MARKER
         self.max_piece_len = max(len(p) for p in clean)
+        self.word_local = not any(SPACE_MARKER in p[1:] for p in clean)
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -128,28 +140,100 @@ def normalize_for_pieces(text: str) -> str:
     return SPACE_MARKER + text.replace(" ", SPACE_MARKER)
 
 
+def viterbi_decode(norm, pieces, max_piece_len, unk_logprob):
+    """Maximum-log-probability segmentation of an already-normalized string.
+
+    pieces maps piece -> logprob. A one-codepoint unknown step with
+    unk_logprob is available only at positions whose codepoint is not itself
+    a piece. Ties keep the earliest candidate: positions scan left to right,
+    the unknown step is tried before dictionary pieces, and piece lengths go
+    short to long; replacement requires a strictly better score.
+
+    Returns (spans, score): spans is a list of (start, end, is_unk) covering
+    [0, len(norm)) contiguously; score is the summed logprob.
+    """
+    n = len(norm)
+    if n == 0:
+        return [], 0.0
+    best = [_NEG_INF] * (n + 1)
+    best[0] = 0.0
+    back = [None] * (n + 1)
+    for i in range(n):
+        base = best[i]
+        if base == _NEG_INF:
+            continue
+        if norm[i] not in pieces:
+            cand = base + unk_logprob
+            if cand > best[i + 1]:
+                best[i + 1] = cand
+                back[i + 1] = (i, True)
+        limit = max_piece_len if max_piece_len < n - i else n - i
+        for length in range(1, limit + 1):
+            logprob = pieces.get(norm[i:i + length])
+            if logprob is None:
+                continue
+            j = i + length
+            cand = base + logprob
+            if cand > best[j]:
+                best[j] = cand
+                back[j] = (i, False)
+    spans = []
+    j = n
+    while j > 0:
+        i, is_unk = back[j]
+        spans.append((i, j, is_unk))
+        j = i
+    spans.reverse()
+    return spans, best[n]
+
+
 def sp_segment_spans(
-    text: str, table: PieceTable
+    text: str, table: PieceTable, memo: dict | None = None
 ) -> tuple[str, list[tuple[int, int, bool]], float]:
     """Decode; returns (normalized_text, spans, total_logprob).
 
     Each span is (start, end, is_unk) over the normalized text; spans tile it
     contiguously. Exposed separately from sp_segment so optimality and
     reconstruction can be checked span by span.
+
+    A word-local table decodes each word (a marker and the codepoints up to
+    the next marker) on its own with viterbi_decode, so ties keep the
+    earliest candidate within a word, and the total is the sum of the word
+    scores taken left to right. Any other table decodes the whole string at
+    once. memo maps a decoded string to its (spans, score); pass the same
+    dict across calls with one table to decode each distinct word once.
     """
     norm = normalize_for_pieces(text)
-    spans, score = viterbi_decode(norm, table.pieces, table.max_piece_len, table.unk_logprob)
+    if table.word_local:
+        chunks = [SPACE_MARKER + word for word in norm[1:].split(SPACE_MARKER)]
+    else:
+        chunks = [norm]
+    if memo is None:
+        memo = {}
+    spans: list[tuple[int, int, bool]] = []
+    score = 0.0
+    offset = 0
+    for chunk in chunks:
+        decoded = memo.get(chunk)
+        if decoded is None:
+            decoded = memo[chunk] = viterbi_decode(
+                chunk, table.pieces, table.max_piece_len, table.unk_logprob
+            )
+        chunk_spans, chunk_score = decoded
+        spans.extend((a + offset, b + offset, is_unk) for a, b, is_unk in chunk_spans)
+        score += chunk_score
+        offset += len(chunk)
     return norm, spans, score
 
 
-def sp_segment(text: str, table: PieceTable) -> list[str]:
+def sp_segment(text: str, table: PieceTable, memo: dict | None = None) -> list[str]:
     """Segment text into pieces, maximizing total log-probability.
 
     Unknown codepoints appear as table.unk_piece. Concatenating the output,
     with each unk occurrence replaced by the codepoint it consumed, rebuilds
-    the marker-normalized input exactly.
+    the marker-normalized input exactly. memo is passed to sp_segment_spans.
     """
-    norm, spans, _ = sp_segment_spans(text, table)
+    norm, spans, _ = sp_segment_spans(text, table, memo)
     return [table.unk_piece if is_unk else norm[a:b] for a, b, is_unk in spans]
 
 

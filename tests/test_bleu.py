@@ -10,6 +10,7 @@ import pytest
 
 from evoloop.errors import EmptyCorpus, LengthMismatch
 from evoloop.metrics import corpus_bleu, tokenize_13a
+from evoloop.metrics.bleu import ngram_stats
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "bleu"
 
@@ -159,6 +160,17 @@ class TestInvariants:
         assert got.score > 0.0
         unsmoothed = corpus_bleu(["a b c d"], ["b a c d"], smoothing="none")
         assert unsmoothed.score == 0.0
+
+
+class TestNgramStats:
+    @pytest.mark.parametrize("hyp, ref, want", [
+        ([], [], ([0, 0, 0, 0], [0, 0, 0, 0])),
+        (["a"], [], ([0, 0, 0, 0], [1, 0, 0, 0])),
+        ([], ["a"], ([0, 0, 0, 0], [0, 0, 0, 0])),
+        (["a"], ["a"], ([1, 0, 0, 0], [1, 0, 0, 0])),
+    ])
+    def test_empty_and_single_token_inputs(self, hyp, ref, want):
+        assert ngram_stats(hyp, ref, 4) == want
 
 
 class TestErrors:

@@ -354,6 +354,41 @@ def test_evaluate_manifest_route(corpus_dir, capsys):
     assert out.splitlines()[-1] == "Avg          100.0 / 100.0"
 
 
+def test_evaluate_direction_filter_scores_only_that_direction(corpus_dir, monkeypatch, capsys):
+    from evoloop.backends.mock import MockScorer
+
+    calls = []
+    original = MockScorer.score
+
+    def counted(self, payload):
+        calls.append(payload)
+        return original(self, payload)
+
+    monkeypatch.setattr(MockScorer, "score", counted)
+    ws = corpus_dir / "ws"
+    rows = make_rows(3) + make_rows(2, tgt="lao", stem="omega")
+    manifest = write_manifest(corpus_dir / "two.jsonl", rows)
+    hyp = write_manifest(ws / "hyp.jsonl", [
+        {"id": hash_sample(r["text"], r["reference"], r["src_lang"], r["tgt_lang"]),
+         "text": r["reference"]} for r in rows])
+    table = write_piece_table(corpus_dir / "pieces.tsv")
+    code, out = run_cli(
+        ["evaluate", manifest, "--hyp", hyp, "--piece-table", table,
+         "--direction", "eng-lao", "--workspace", ws, "--mock"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "direction    spBLEU / COMET",
+        "eng-lao      100.0 / 100.0",
+        "Avg          100.0 / 100.0",
+    ]
+    assert len(calls) == 2
+    code, _ = run_cli(
+        ["evaluate", manifest, "--hyp", hyp, "--piece-table", table,
+         "--direction", "eng-fra", "--workspace", ws, "--mock"], capsys)
+    assert code == 2
+    assert len(calls) == 2
+
+
 def test_evaluate_requires_hypotheses(corpus_dir, capsys):
     code, _ = run_cli(
         ["evaluate", corpus_dir / "train.jsonl",

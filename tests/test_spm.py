@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evoloop.errors import PieceTableError
 from evoloop.metrics import (
@@ -13,7 +15,7 @@ from evoloop.metrics import (
     sp_segment,
     sp_segment_spans,
 )
-from evoloop.metrics.spm import SPACE_MARKER, normalize_for_pieces
+from evoloop.metrics.spm import SPACE_MARKER, normalize_for_pieces, viterbi_decode
 
 M = SPACE_MARKER
 
@@ -54,6 +56,28 @@ def random_table(rng, max_pieces=12):
     return PieceTable(entries)
 
 
+def word_local_tables(logprobs):
+    """PieceTables whose pieces hold the marker only at position 0."""
+    piece = st.tuples(st.booleans(), st.text("ab", max_size=3)).map(
+        lambda marked_body: (M if marked_body[0] else "") + marked_body[1]
+    ).filter(bool)
+    return st.dictionaries(piece, logprobs, min_size=1, max_size=10).map(PieceTable)
+
+
+# exact binary fractions: sums of these never round, so no tie can flip
+DYADIC = st.integers(-5 * 256, 0).map(lambda k: k / 256)
+# 1-3 decimals, as in exported vocabularies: sums round
+DECIMAL = st.integers(1, 3).flatmap(
+    lambda places: st.integers(-5 * 10**places, 0).map(lambda k: k / 10**places)
+)
+WORDS = st.lists(st.text("abc", max_size=3), min_size=1, max_size=4).map(" ".join)
+
+
+def spans_score(norm, spans, table):
+    return sum(table.unk_logprob if is_unk else table.pieces[norm[a:b]]
+               for a, b, is_unk in spans)
+
+
 class TestPieceTable:
     def test_rejects_empty(self):
         with pytest.raises(PieceTableError):
@@ -84,6 +108,10 @@ class TestPieceTable:
     def test_max_piece_len(self):
         t = PieceTable({"a": -1.0, "abc": -2.0})
         assert t.max_piece_len == 3
+
+    def test_word_local_only_without_inner_markers(self):
+        assert make_table([(M, -1.0), (f"{M}a", -1.0), ("a", -1.0)]).word_local
+        assert not make_table([(f"a{M}", -1.0)]).word_local
 
     def test_duplicate_in_make_table(self):
         with pytest.raises(PieceTableError):
@@ -208,7 +236,50 @@ class TestSegmentation:
                 pos = b
             assert pos == len(norm)
 
+    def test_inner_marker_piece_spans_words(self):
+        # a piece holding an inner marker must be able to win across words
+        t = make_table([(f"{M}a", -1.0), (f"{M}b", -1.0), (f"{M}a{M}b", -1.5)])
+        assert sp_segment("a b", t) == [f"{M}a{M}b"]
+
     def test_deterministic_across_calls(self):
         t = make_table([(f"{M}a", -1.0), ("a", -1.0), (M, -1.0)])
         runs = {tuple(sp_segment("a a a", t)) for _ in range(5)}
         assert len(runs) == 1
+
+
+class TestViterbiDecode:
+    def test_tie_break_is_first_candidate(self):
+        # "aa" coverable as a+a or aa, same total score -2.0. Positions scan
+        # left to right, so i=0 writes the length-2 candidate into the final
+        # slot before the path through i=1 ties against it; strict > keeps
+        # the earlier writer.
+        spans, score = viterbi_decode("aa", {"a": -1.0, "aa": -2.0}, 2, -10.0)
+        assert score == -2.0
+        assert spans == [(0, 2, False)]
+
+    def test_empty_string(self):
+        assert viterbi_decode("", {"a": -1.0}, 1, -5.0) == ([], 0.0)
+
+
+class TestWordChunkedDecode:
+    @settings(max_examples=200, deadline=None)
+    @given(word_local_tables(DYADIC), WORDS)
+    def test_equals_whole_string_decode_on_exact_logprobs(self, table, text):
+        assert table.word_local
+        norm, spans, score = sp_segment_spans(text, table)
+        whole = viterbi_decode(norm, table.pieces, table.max_piece_len, table.unk_logprob)
+        assert (spans, score) == whole
+
+    @settings(max_examples=200, deadline=None)
+    @given(word_local_tables(DECIMAL), WORDS)
+    def test_optimal_on_decimal_logprobs(self, table, text):
+        norm, spans, _ = sp_segment_spans(text, table)
+        want = exhaustive_best_score(norm, table.pieces, table.unk_logprob)
+        assert spans_score(norm, spans, table) == pytest.approx(want, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(word_local_tables(DECIMAL), st.lists(WORDS, min_size=1, max_size=6))
+    def test_shared_memo_changes_nothing(self, table, texts):
+        memo = {}
+        for text in texts:
+            assert sp_segment_spans(text, table, memo) == sp_segment_spans(text, table)
