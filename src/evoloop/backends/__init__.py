@@ -7,20 +7,17 @@ from .batch import (
     run_batch,
     with_retry,
 )
-from .cache import ContentCache, NullCache, payload_hash
+from .cache import ContentCache, payload_hash
 from .clients import (
     BEAM,
     DURATION_LIMIT_S,
     TEMPERATURE,
-    DecodeConfig,
     EndpointConfig,
     Hypothesis,
     ScoreClient,
-    ScoreTriple,
     TranslateClient,
     TranslationMode,
     TtsClient,
-    resolve_uri,
 )
 from .transport import HttpTransport
 
@@ -31,19 +28,15 @@ __all__ = [
     "TEMPERATURE",
     "BatchResult",
     "ContentCache",
-    "DecodeConfig",
     "EndpointConfig",
     "HttpTransport",
     "Hypothesis",
-    "NullCache",
     "ScoreClient",
-    "ScoreTriple",
     "TranslateClient",
     "TranslationMode",
     "TtsClient",
     "enforce_failure_budget",
     "payload_hash",
-    "resolve_uri",
     "run_batch",
     "with_retry",
 ]

@@ -96,17 +96,3 @@ class ContentCache:
             raise
         self.stats.wrote()
 
-
-class NullCache(ContentCache):
-    """Cache that never stores anything; for --no-cache style runs."""
-
-    def __init__(self):  # noqa: D401 - no root needed
-        self.root = None
-        self.stats = CacheStats()
-
-    def get(self, endpoint, namespace, payload):
-        self.stats.miss()
-        return None
-
-    def put(self, endpoint, namespace, payload, response):
-        pass

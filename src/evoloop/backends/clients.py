@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable
 
 from ..corpus import AudioOrigin, AudioRef
@@ -53,33 +52,9 @@ class TranslationMode(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class DecodeConfig:
-    beam: int = BEAM
-    temperature: float = TEMPERATURE
-
-
-@dataclass(frozen=True)
 class Hypothesis:
     mode: TranslationMode
     text: str
-    decode: DecodeConfig = field(default_factory=DecodeConfig)
-
-
-@dataclass(frozen=True)
-class ScoreTriple:
-    source: str
-    hypothesis: str
-    reference: str
-    score: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ScoreOutOfRange(self.score)
-
-
-def resolve_uri(workspace: str | Path, uri: str) -> Path:
-    """Workspace-relative URI to filesystem path."""
-    return Path(workspace) / uri
 
 
 class _CachedClient:

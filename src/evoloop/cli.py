@@ -29,7 +29,7 @@ from .backends.cache import ContentCache
 from .backends.clients import EndpointConfig, ScoreClient, TranslateClient, TtsClient
 from .backends.mock import LookupTranslator
 from .backends.transport import HttpTransport
-from .corpus import Sample, iter_manifest, load_manifest, save_manifest
+from .corpus import Sample, load_manifest, save_manifest
 from .errors import (
     EvoloopError,
     MissingHypotheses,
@@ -38,7 +38,6 @@ from .errors import (
 from .evolution import (
     Backends,
     EvolutionConfig,
-    RoundState,
     partition_and_emit,
     run_acquisition,
     run_refinement,
@@ -71,7 +70,6 @@ class RunConfig:
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
     smoothing: str = "exp"
     piece_table_path: Optional[str] = None
-    ratio_threshold: float = 0.6
     strict_manifests: bool = False
     update_hook: Optional[str] = None
     voices: Tuple[str, ...] = DEFAULT_VOICE_POOL
@@ -80,12 +78,23 @@ class RunConfig:
     mock_schedule: Optional[Tuple[float, ...]] = None
 
 
-def _endpoint_from_json(obj: dict) -> EndpointConfig:
-    allowed = {"base_url", "timeout_s", "max_attempts", "backoff_base_ms"}
-    unknown = set(obj) - allowed
+_CONFIG_KEYS = {
+    "top-level": {"workspace", "endpoints", "evolution", "metrics", "strict_manifests",
+                  "update_hook", "voices", "token"},
+    "endpoint": {"base_url", "timeout_s", "max_attempts", "backoff_base_ms"},
+    "evolution": set(EvolutionConfig().to_json()),
+    "metrics": {"smoothing", "piece_table_path"},
+}
+
+
+def _config_section(obj, where: str) -> dict:
+    """A config object whose keys all take effect; any other key is refused."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"{where} config must be a JSON object")
+    unknown = set(obj) - _CONFIG_KEYS[where]
     if unknown:
-        raise UsageError(f"unknown endpoint config keys: {sorted(unknown)}")
-    return EndpointConfig(**obj)
+        raise UsageError(f"unknown {where} config keys: {sorted(unknown)}")
+    return obj
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -98,21 +107,20 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise UsageError("config file must hold a JSON object")
+        raw = _config_section(raw, "top-level")
         try:
             endpoints = {
-                name: _endpoint_from_json(spec)
+                name: EndpointConfig(**_config_section(spec, "endpoint"))
                 for name, spec in raw.get("endpoints", {}).items()
             }
-            metrics = raw.get("metrics", {})
+            metrics = _config_section(raw.get("metrics", {}), "metrics")
+            evolution = _config_section(raw.get("evolution", {}), "evolution")
             cfg = RunConfig(
                 workspace=raw.get("workspace", cfg.workspace),
                 endpoints=endpoints,
-                evolution=EvolutionConfig.from_json(raw.get("evolution", {})),
+                evolution=EvolutionConfig.from_json(evolution),
                 smoothing=metrics.get("smoothing", cfg.smoothing),
                 piece_table_path=metrics.get("piece_table_path"),
-                ratio_threshold=metrics.get("ratio_threshold", cfg.ratio_threshold),
                 strict_manifests=raw.get("strict_manifests", cfg.strict_manifests),
                 update_hook=raw.get("update_hook"),
                 voices=tuple(raw.get("voices", cfg.voices)),
@@ -240,25 +248,43 @@ def write_report(ws: Path, name: str, payload: dict, override: Optional[str]) ->
     return path
 
 
-def _resource_lines(groups) -> List[str]:
+def _resource_report(rows: Sequence[DirectionScore]) -> dict:
+    """Print the resource-level table; return its `groups` payload."""
     from .corpus import ResourceLevel
 
+    groups = aggregate_by_resource(rows)
     order = {level: i for i, level in enumerate(ResourceLevel)}
-    lines = ["resource     spBLEU / COMET"]
+    print("resource     spBLEU / COMET")
     for level in sorted(groups, key=order.__getitem__):
         sp, comet = groups[level]
-        lines.append(f"{level.value:<12} {sp:.1f} / {comet:.1f}")
-    return lines
+        print(f"{level.value:<12} {sp:.1f} / {comet:.1f}")
+    return {
+        level.value: {"spbleu": sp, "comet": comet}
+        for level, (sp, comet) in groups.items()
+    }
 
 
-def render_direction_table(rows: Sequence[DirectionScore]) -> List[str]:
-    lines = ["direction    spBLEU / COMET"]
+def _direction_report(command: str, rows: Sequence[DirectionScore]) -> dict:
+    """Print the per-direction table with its Avg row; return the payload."""
+    print("direction    spBLEU / COMET")
     for row in rows:
         name = _direction_str(row.direction)
-        lines.append(f"{name:<12} {fmt1(row.spbleu)} / {fmt1(row.comet)}")
+        print(f"{name:<12} {fmt1(row.spbleu)} / {fmt1(row.comet)}")
     avg_sp, avg_comet = average_directions(rows)
-    lines.append(f"{'Avg':<12} {avg_sp:.1f} / {avg_comet:.1f}")
-    return lines
+    print(f"{'Avg':<12} {avg_sp:.1f} / {avg_comet:.1f}")
+    return {
+        "command": command,
+        "rows": [
+            {
+                "direction": list(r.direction),
+                "spbleu": r.spbleu,
+                "comet": r.comet,
+                "n_samples": r.n_samples,
+            }
+            for r in rows
+        ],
+        "avg": {"spbleu": avg_sp, "comet": avg_comet},
+    }
 
 
 # --- manifest/hypothesis plumbing ----------------------------------------------
@@ -548,31 +574,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     ws = _workspace(cfg)
     rows = _evaluate_rows(args, cfg)
-    for line in render_direction_table(rows):
-        print(line)
-    avg_sp, avg_comet = average_directions(rows)
-    payload = {
-        "command": "evaluate",
-        "rows": [
-            {
-                "direction": list(r.direction),
-                "spbleu": r.spbleu,
-                "comet": r.comet,
-                "n_samples": r.n_samples,
-            }
-            for r in rows
-        ],
-        "avg": {"spbleu": avg_sp, "comet": avg_comet},
-    }
+    payload = _direction_report("evaluate", rows)
     if args.by_resource:
-        groups = aggregate_by_resource(rows)
         print()
-        for line in _resource_lines(groups):
-            print(line)
-        payload["by_resource"] = {
-            level.value: {"spbleu": sp, "comet": comet}
-            for level, (sp, comet) in groups.items()
-        }
+        payload["by_resource"] = _resource_report(rows)
     write_report(ws, "evaluate", payload, args.report)
     return 0
 
@@ -697,16 +702,7 @@ def cmd_report_resource(args: argparse.Namespace) -> int:
     rows = _filter_directions(
         _direction_rows_from_file(args.direction_scores), args.direction
     )
-    groups = aggregate_by_resource(rows)
-    for line in _resource_lines(groups):
-        print(line)
-    payload = {
-        "command": "report-resource",
-        "groups": {
-            level.value: {"spbleu": sp, "comet": comet}
-            for level, (sp, comet) in groups.items()
-        },
-    }
+    payload = {"command": "report-resource", "groups": _resource_report(rows)}
     if args.report:
         write_report(ws, "report_resource", payload, args.report)
     return 0
@@ -718,22 +714,7 @@ def cmd_report_directions(args: argparse.Namespace) -> int:
     rows = _filter_directions(
         _direction_rows_from_file(args.direction_scores), args.direction
     )
-    for line in render_direction_table(rows):
-        print(line)
-    avg_sp, avg_comet = average_directions(rows)
-    payload = {
-        "command": "report-directions",
-        "rows": [
-            {
-                "direction": list(r.direction),
-                "spbleu": r.spbleu,
-                "comet": r.comet,
-                "n_samples": r.n_samples,
-            }
-            for r in rows
-        ],
-        "avg": {"spbleu": avg_sp, "comet": avg_comet},
-    }
+    payload = _direction_report("report-directions", rows)
     if args.report:
         write_report(ws, "report_directions", payload, args.report)
     return 0

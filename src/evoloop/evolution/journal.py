@@ -1,7 +1,8 @@
 """Write-ahead journal for loop runs.
 
 Every phase output lands in `rounds/<k>/` and is fingerprinted in a
-single ledger file (`journal.json`) at the workspace root. A resumed run
+single ledger file (`journal.json`) at the workspace root. Acquisition
+runs once per run, so only `rounds/1/` holds its manifest. A resumed run
 trusts a phase only when the ledger entry exists and the file bytes
 still hash to the recorded digest; anything else inside a recorded entry
 is treated as corruption rather than silently recomputed.
@@ -25,6 +26,8 @@ from ..errors import ResumeStateCorrupt
 __all__ = ["Journal", "PHASE_FILES", "PHASES", "write_json"]
 
 LEDGER_NAME = "journal.json"
+# 2: acquisition journaled once, under round 1
+LEDGER_FORMAT = 2
 ROUNDS_DIR = "rounds"
 
 ACQUISITION = "acquisition"
@@ -89,14 +92,18 @@ class Journal:
                 raise ResumeStateCorrupt(f"unreadable ledger: {exc}") from exc
             if not isinstance(self._ledger, dict) or "fingerprint" not in self._ledger:
                 raise ResumeStateCorrupt("ledger missing fingerprint")
+            if self._ledger.get("format") != LEDGER_FORMAT:
+                raise ResumeStateCorrupt(
+                    f"ledger format {self._ledger.get('format', 1)!r} is not "
+                    f"{LEDGER_FORMAT}; start a new workspace"
+                )
             if self._ledger["fingerprint"] != fingerprint:
                 raise ResumeStateCorrupt(
                     "workspace was journaled under a different config or input set"
                 )
-            self._ledger.setdefault("rounds", {})
-            self._ledger.setdefault("model_version", 0)
             return True
         self._ledger = {
+            "format": LEDGER_FORMAT,
             "fingerprint": dict(fingerprint),
             "model_version": 0,
             "rounds": {},

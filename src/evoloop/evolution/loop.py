@@ -106,13 +106,13 @@ def scored_from_sample(sample: Sample) -> ScoredSample:
         ) from exc
 
 
-def _emit(events, round_index: int, phase: str, source: str) -> None:
+def _report(on_phase, round_index: int, phase: str, source: str) -> None:
     if source == "journal":
         log.info("round %d %s: replayed from journal (100%% cache hits)", round_index, phase)
     else:
         log.info("round %d %s: executed", round_index, phase)
-    if events is not None:
-        events.append({"round": round_index, "phase": phase, "source": source})
+    if on_phase is not None:
+        on_phase(round_index, phase, source)
 
 
 def run_loop(
@@ -125,16 +125,20 @@ def run_loop(
     update_hook=None,
     version: Optional[ModelVersion] = None,
     max_in_flight: int = 8,
-    events: Optional[list] = None,
-    after_phase: Optional[Callable[[int, str], None]] = None,
+    on_phase: Optional[Callable[[int, str, str], None]] = None,
 ) -> List[RoundState]:
     """Drive rounds until convergence or the round cap.
 
     `version` is the shared model-version cell; it is restored from the
     journal on resume and advanced whenever a round emits a JobSpec (the
-    update hook, if any, runs first). `events` collects one provenance
-    record per phase; `after_phase` fires after each freshly executed
-    phase commits, which tests use to kill the loop at exact points.
+    update hook, if any, runs first). `on_phase(round_index, phase,
+    source)` fires once per phase, after it loads from the journal
+    (`source` "journal") or runs and commits ("fresh"); tests raise from
+    it to kill the loop at exact points.
+
+    Acquisition runs once per run: voices depend only on (seed, sample
+    id), so every round would synthesize the same clips. It is journaled
+    under round 1 and every round refines that manifest.
     """
     train_samples = list(train_samples)
     eval_samples = list(eval_samples)
@@ -148,102 +152,95 @@ def run_loop(
         [s.id for s in eval_samples],
         voice_pool,
     )
-    resumed = jrnl.open(fingerprint)
-    if resumed:
+    if jrnl.open(fingerprint):
         log.info("resuming journaled run in %s", workspace)
     if version is not None:
         version.set(jrnl.model_version())
 
+    def step(round_index: int, phase: str, load, run):
+        """Load a journaled phase, or run it and journal its files.
+
+        `run` writes the phase's files and returns (value, trained);
+        `trained` is None except for the update phase.
+        """
+        if jrnl.phase_done(round_index, phase):
+            value, source = load(), "journal"
+        else:
+            value, trained = run()
+            jrnl.record_phase(round_index, phase, trained=trained)
+            source = "fresh"
+        _report(on_phase, round_index, phase, source)
+        return value
+
+    def evaluate(by_direction: bool = False):
+        return run_evaluation(
+            eval_samples, config, backends.tts, backends.translate, backends.score,
+            max_in_flight=max_in_flight, by_direction=by_direction,
+        )
+
     # baseline evaluation of the unmodified model anchors round-1 delta
     if jrnl.has_baseline():
-        baseline = jrnl.baseline()
-        _emit(events, 0, "baseline", "journal")
+        baseline, source = jrnl.baseline(), "journal"
     else:
-        baseline = run_evaluation(
-            eval_samples, config, backends.tts, backends.translate, backends.score,
-            max_in_flight=max_in_flight,
-        )
+        baseline, source = evaluate(), "fresh"
         jrnl.set_baseline(baseline)
-        _emit(events, 0, "baseline", "fresh")
-        if after_phase is not None:
-            after_phase(0, "baseline")
+    _report(on_phase, 0, "baseline", source)
+
+    acq_path = jrnl.round_dir(1) / "acquisition.jsonl"
+
+    def acquire():
+        acquired = run_acquisition(
+            train_samples, voice_pool, config, backends.tts, max_in_flight=max_in_flight
+        )
+        save_manifest(acquired, acq_path)
+        return acquired, None
+
+    acquired = step(
+        1, journal_mod.ACQUISITION, lambda: load_manifest(acq_path, strict=True), acquire
+    )
 
     history: List[RoundState] = []
     for k in range(1, config.max_rounds + 1):
         rdir = jrnl.round_dir(k)
-
-        # --- acquisition ------------------------------------------------
-        acq_path = rdir / "acquisition.jsonl"
-        if jrnl.phase_done(k, journal_mod.ACQUISITION):
-            acquired = load_manifest(acq_path, strict=True)
-            _emit(events, k, journal_mod.ACQUISITION, "journal")
-        else:
-            acquired = run_acquisition(
-                train_samples, voice_pool, config, backends.tts, max_in_flight=max_in_flight
-            )
-            save_manifest(acquired, acq_path)
-            jrnl.record_phase(k, journal_mod.ACQUISITION)
-            _emit(events, k, journal_mod.ACQUISITION, "fresh")
-            if after_phase is not None:
-                after_phase(k, journal_mod.ACQUISITION)
-
-        # --- refinement ---------------------------------------------------
         scored_path = rdir / "scored.jsonl"
-        if jrnl.phase_done(k, journal_mod.REFINEMENT):
-            scored = [
-                scored_from_sample(s) for s in load_manifest(scored_path, strict=True)
-            ]
-            _emit(events, k, journal_mod.REFINEMENT, "journal")
-        else:
+        state_path = rdir / "state.json"
+
+        def refine():
             scored = run_refinement(
                 acquired, config, backends.translate, backends.score,
                 max_in_flight=max_in_flight,
             )
             write_scored_manifest(scored, scored_path)
-            jrnl.record_phase(k, journal_mod.REFINEMENT)
-            _emit(events, k, journal_mod.REFINEMENT, "fresh")
-            if after_phase is not None:
-                after_phase(k, journal_mod.REFINEMENT)
+            return scored, None
 
-        # --- update (partition, jobspec, training hook) -----------------
+        def load_scored():
+            return [scored_from_sample(s) for s in load_manifest(scored_path, strict=True)]
+
+        scored = step(k, journal_mod.REFINEMENT, load_scored, refine)
         n_positive = sum(1 for s in scored if s.label is Label.POSITIVE)
         n_negative = len(scored) - n_positive
-        warning: Optional[str] = None
-        if jrnl.phase_done(k, journal_mod.UPDATE):
-            if n_positive == 0:
-                warning = empty_positives_warning(k)
-            _emit(events, k, journal_mod.UPDATE, "journal")
-        else:
+
+        def update():
             part = partition_and_emit(scored, k, str(rdir), workspace=workspace)
-            warning = part.warning
             trained = part.jobspec is not None
             if trained and update_hook is not None:
                 run_update_hook(update_hook, part.jobspec_path)
-            jrnl.record_phase(k, journal_mod.UPDATE, trained=trained)
-            _emit(events, k, journal_mod.UPDATE, "fresh")
-            if after_phase is not None:
-                after_phase(k, journal_mod.UPDATE)
+            return None, trained
+
+        step(k, journal_mod.UPDATE, lambda: None, update)
         if version is not None:
             version.set(jrnl.model_version())
 
-        # --- evaluation --------------------------------------------------
-        state_path = rdir / "state.json"
-        if jrnl.phase_done(k, journal_mod.EVALUATION):
+        def load_state():
             with open(state_path, encoding="utf-8") as fh:
                 obj = json.load(fh)
             obj.pop("warnings", None)
-            state = RoundState.from_json(obj)
-            _emit(events, k, journal_mod.EVALUATION, "journal")
-        else:
-            eval_score, by_direction = run_evaluation(
-                eval_samples, config, backends.tts, backends.translate,
-                backends.score, max_in_flight=max_in_flight, by_direction=True,
-            )
+            return RoundState.from_json(obj)
+
+        def evaluate_round():
+            eval_score, by_direction = evaluate(by_direction=True)
             best = max([baseline] + [r.eval_score for r in history])
             delta = eval_score - best
-            status = _status_for(
-                [r.delta_vs_best for r in history] + [delta], k, config
-            )
             state = RoundState(
                 round_index=k,
                 acquisition_manifest=jrnl.rel(acq_path),
@@ -253,18 +250,16 @@ def run_loop(
                 n_negative=n_negative,
                 eval_score=eval_score,
                 delta_vs_best=delta,
-                status=status,
+                status=_status_for([r.delta_vs_best for r in history] + [delta], k, config),
             )
             obj = state.to_json()
             obj["eval_by_direction"] = by_direction
-            if warning:
-                obj["warnings"] = [warning]
+            if n_positive == 0:
+                obj["warnings"] = [empty_positives_warning(k)]
             write_json(state_path, obj)
-            jrnl.record_phase(k, journal_mod.EVALUATION)
-            _emit(events, k, journal_mod.EVALUATION, "fresh")
-            if after_phase is not None:
-                after_phase(k, journal_mod.EVALUATION)
+            return state, None
 
+        state = step(k, journal_mod.EVALUATION, load_state, evaluate_round)
         history.append(state)
         log.info(
             "round %d: n_pos=%d n_neg=%d eval=%.4f delta=%+.4f %s",

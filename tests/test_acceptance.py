@@ -304,28 +304,28 @@ def test_loop_determinism_and_crash_resume(tmp_path):
     class Killed(Exception):
         pass
 
-    def kill(round_index, phase):
-        if round_index == 2 and phase == "refinement":
+    def kill(round_index, phase, source):
+        if (round_index, phase, source) == (2, "refinement", "fresh"):
             raise Killed()
 
     with pytest.raises(Killed):
         run_loop(
             train, evals, POOL, config, stack.backends, str(ws),
-            version=stack.version, after_phase=kill,
+            version=stack.version, on_phase=kill,
         )
 
     train, evals, config, stack = _loop_setup(ws, SCHEDULE_3R)
-    events = []
+    sources = {}
     history = run_loop(
         train, evals, POOL, config, stack.backends, str(ws),
-        version=stack.version, events=events,
+        version=stack.version,
+        on_phase=lambda k, phase, source: sources.setdefault((k, phase), source),
     )
     assert history[-1].status is RoundStatus.CONVERGED
-    sources = {(e["round"], e["phase"]): e["source"] for e in events}
     for key in (
         (0, "baseline"),
         (1, "acquisition"), (1, "refinement"), (1, "update"), (1, "evaluation"),
-        (2, "acquisition"), (2, "refinement"),
+        (2, "refinement"),
     ):
         assert sources[key] == "journal", key
     assert sources[(2, "update")] == "fresh"

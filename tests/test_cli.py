@@ -204,6 +204,40 @@ def test_unknown_endpoint_key_is_usage_error(tmp_path):
             load_run_config(parse(["validate", "m.jsonl", "--config", conf]))
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"wokspace": "x"}, "wokspace"),
+    ({"evolution": {"max_round": 1}}, "max_round"),
+    ({"metrics": {"smoothng": "none"}}, "smoothng"),
+    ({"metrics": {"ratio_threshold": 0.5}}, "ratio_threshold"),
+])
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, config, key):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(config))
+    code, err = run_cli_err(["validate", "m.jsonl", "--config", conf], capsys)
+    assert code == 2
+    assert key in err
+
+
+def test_accepted_config_keys_take_effect(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({
+        "workspace": "ws", "strict_manifests": True, "update_hook": "true {jobspec}",
+        "voices": ["v1"], "token": "t", "endpoints": {"tts": {"base_url": "http://x"}},
+        "metrics": {"smoothing": "floor", "piece_table_path": "p.tsv"},
+        "evolution": {"epsilon": 0.01, "patience": 2, "max_rounds": 3, "seed": 7,
+                      "speech_source": "PreferAuthentic", "fixed_eval_voice": "v1"},
+    }))
+    cfg = load_run_config(parse(["validate", "m.jsonl", "--config", conf]))
+    assert (cfg.workspace, cfg.strict_manifests, cfg.voices, cfg.token) == (
+        "ws", True, ("v1",), "t")
+    assert cfg.update_hook == "true {jobspec}"
+    assert cfg.endpoints["tts"].base_url == "http://x"
+    assert (cfg.smoothing, cfg.piece_table_path) == ("floor", "p.tsv")
+    assert cfg.evolution.to_json() == {
+        "epsilon": 0.01, "patience": 2, "max_rounds": 3, "seed": 7,
+        "speech_source": "PreferAuthentic", "fixed_eval_voice": "v1"}
+
+
 def test_invalid_epsilon_flag_is_usage_error(corpus_dir):
     with pytest.raises(UsageError):
         load_run_config(parse(loop_argv(corpus_dir, extra=["--epsilon", "-1"])))

@@ -711,12 +711,18 @@ class TestRunLoop:
         for state in history:
             rdir = ws / "rounds" / str(state.round_index)
             for name in (
-                "acquisition.jsonl", "scored.jsonl", "positives.jsonl",
+                "scored.jsonl", "positives.jsonl",
                 "negatives.jsonl", "jobspec.json", "state.json",
             ):
                 assert (rdir / name).is_file(), name
+            # acquisition runs once; every round refines round 1's manifest
+            assert (rdir / "acquisition.jsonl").is_file() == (state.round_index == 1)
+            assert state.acquisition_manifest == "rounds/1/acquisition.jsonl"
             stored = json.loads((rdir / "state.json").read_text())
             assert RoundState.from_json(stored) == state
+        ledger = json.loads((ws / "journal.json").read_text())
+        assert ledger["format"] == 2
+        assert [k for k, r in ledger["rounds"].items() if "acquisition" in r] == ["1"]
 
     def test_determinism_byte_identical_journals(self, tmp_path):
         trees = []
@@ -747,35 +753,34 @@ class TestRunLoop:
 
         train_b, eval_b, config_b, stack_b = loop_fixture(ws_b)
 
-        def kill_after(round_index, phase):
-            if round_index == 2 and phase == "refinement":
+        def kill_after(round_index, phase, source):
+            if (round_index, phase, source) == (2, "refinement", "fresh"):
                 raise KillSwitch()
 
         with pytest.raises(KillSwitch):
             run_loop(
                 train_b, eval_b, POOL, config_b, stack_b.backends, str(ws_b),
-                version=stack_b.version, after_phase=kill_after,
+                version=stack_b.version, on_phase=kill_after,
             )
 
         # fresh clients, same workspace and cache directory
         train_c, eval_c, config_c, stack_c = loop_fixture(ws_b)
         tts_backend = stack_c.tts_backend
-        events = []
+        sources = {}
         history = run_loop(
             train_c, eval_c, POOL, config_c, stack_c.backends, str(ws_b),
-            version=stack_c.version, events=events,
+            version=stack_c.version,
+            on_phase=lambda k, phase, source: sources.setdefault((k, phase), source),
         )
         assert [r.status for r in history][-1] is RoundStatus.CONVERGED
 
-        sources = {(e["round"], e["phase"]): e["source"] for e in events}
         assert sources[(0, "baseline")] == "journal"
         for phase in ("acquisition", "refinement", "update", "evaluation"):
             assert sources[(1, phase)] == "journal"
-        assert sources[(2, "acquisition")] == "journal"
         assert sources[(2, "refinement")] == "journal"
         assert sources[(2, "update")] == "fresh"
         assert sources[(2, "evaluation")] == "fresh"
-        assert sources[(3, "acquisition")] == "fresh"
+        assert sources[(3, "refinement")] == "fresh"
 
         # every synthesis request was already cached before the kill
         assert tts_backend.calls.count == 0
@@ -795,13 +800,14 @@ class TestRunLoop:
             version=stack.version,
         )
         train2, eval2, config2, stack2 = loop_fixture(ws)
-        events = []
+        sources = []
         second = run_loop(
             train2, eval2, POOL, config2, stack2.backends, str(ws),
-            version=stack2.version, events=events,
+            version=stack2.version,
+            on_phase=lambda k, phase, source: sources.append(source),
         )
         assert second == first
-        assert all(e["source"] == "journal" for e in events)
+        assert sources and all(source == "journal" for source in sources)
         assert stack2.version.value == 4
         assert stack2.tts_backend.calls.count == 0
         assert stack2.score_backend.calls.count == 0
@@ -851,6 +857,26 @@ class TestRunLoop:
                 train2, eval2, POOL, config2, stack2.backends, str(ws),
                 version=stack2.version,
             )
+
+    def test_ledger_without_format_marker_is_corrupt(self, tmp_path):
+        # ledgers written before format 2 carry no marker and journal
+        # acquisition in every round; resuming one would mix both layouts
+        ws = tmp_path / "ws"
+        train, eval_samples, config, stack = loop_fixture(ws)
+        run_loop(
+            train, eval_samples, POOL, config, stack.backends, str(ws),
+            version=stack.version,
+        )
+        ledger = json.loads((ws / "journal.json").read_text())
+        del ledger["format"]
+        (ws / "journal.json").write_text(json.dumps(ledger), encoding="utf-8")
+        train2, eval2, config2, stack2 = loop_fixture(ws)
+        with pytest.raises(ResumeStateCorrupt, match="format 1 is not 2"):
+            run_loop(
+                train2, eval2, POOL, config2, stack2.backends, str(ws),
+                version=stack2.version,
+            )
+        assert stack2.tts_backend.calls.count == 0
 
     def test_callable_hook_sees_every_jobspec(self, tmp_path):
         ws = tmp_path / "ws"
