@@ -1,0 +1,52 @@
+"""Atomic file writes: the one temp-file-plus-rename protocol.
+
+A file is written whole to a temp file in its own directory and renamed
+over the target, so a reader or a resumed run sees either the previous
+file or the new one, never a torn one, and concurrent writers of the
+same content are harmless (the last rename wins). Written files get the
+mode a plain open() would give them under the process umask.
+
+This module imports nothing from evoloop, so every layer can use it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+from pathlib import Path
+from typing import Iterable
+
+__all__ = ["write_atomic", "write_jsonl"]
+
+# read once: os.umask can only be read by setting it
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace path's content with data; creates parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fd, 0o666 & ~_UMASK)
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    """Write rows as UTF-8 JSONL with sorted keys, one object per line.
+
+    Every row is encoded before anything is written, so a row that cannot
+    be encoded leaves the previous file as it was.
+    """
+    text = "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows)
+    write_atomic(path, text.encode("utf-8"))

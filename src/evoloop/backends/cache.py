@@ -1,24 +1,26 @@
 """Content-addressed response cache.
 
-Layout: <root>/<endpoint>/<namespace>/<hh>/<hash>.json, where hash is the
-SHA-256 of the canonical request payload and hh its first two hex chars. The
-namespace isolates responses produced by different model versions, so a
-post-update run never reads answers the previous weights gave, while
-byte-identical requests within one version always hit.
+Layout: <root>/<endpoint>/<namespace>/<hash>.json, where hash is the
+SHA-256 of the canonical request payload. The namespace isolates responses
+produced by different model versions, so a post-update run never reads
+answers the previous weights gave, while byte-identical requests within one
+version always hit. Entries sit directly in the namespace directory; the
+file system indexes large directories itself.
 
-Writes go through a temp file in the same directory followed by os.replace,
-so readers only ever see complete entries and concurrent writers of the same
-key are harmless (last rename wins with identical content).
+Writes go through write_atomic (a temp file in the same directory, then a
+rename), so readers only ever see complete entries and concurrent
+writers of the same key are harmless (last rename wins with identical
+content).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import threading
 from pathlib import Path
+
+from ..atomic import write_atomic
 
 
 def canonical_payload(payload: dict) -> str:
@@ -61,7 +63,7 @@ class ContentCache:
         self.stats = CacheStats()
 
     def _path(self, endpoint: str, namespace: str, key: str) -> Path:
-        return self.root / endpoint / namespace / key[:2] / f"{key}.json"
+        return self.root / endpoint / namespace / f"{key}.json"
 
     def get(self, endpoint: str, namespace: str, payload: dict) -> dict | None:
         path = self._path(endpoint, namespace, payload_hash(payload))
@@ -81,18 +83,7 @@ class ContentCache:
 
     def put(self, endpoint: str, namespace: str, payload: dict, response: dict) -> None:
         path = self._path(endpoint, namespace, payload_hash(payload))
-        path.parent.mkdir(parents=True, exist_ok=True)
         data = json.dumps(response, ensure_ascii=False, sort_keys=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, data.encode("utf-8"))
         self.stats.wrote()
 

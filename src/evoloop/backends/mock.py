@@ -18,20 +18,32 @@ Documented behaviors relied on by fixtures:
 from __future__ import annotations
 
 import hashlib
-import os
-import struct
-import tempfile
+import io
 import threading
 import wave
 from collections import Counter
 from pathlib import Path
 from typing import Callable, Mapping
 
+from ..atomic import write_atomic
 from ..errors import PermanentBackendError, TransientBackendError
 
 CHARS_PER_SECOND = 15.0
 SAMPLE_RATE_HZ = 16000
 _STUB_FRAMES = 160  # 10 ms of audio; metadata carries the logical duration
+
+
+def _wav_stub() -> bytes:
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as wav:
+        wav.setnchannels(1)
+        wav.setsampwidth(2)
+        wav.setframerate(SAMPLE_RATE_HZ)
+        wav.writeframes(bytes(2 * _STUB_FRAMES))  # PCM16 silence
+    return buf.getvalue()
+
+
+_WAV_STUB = _wav_stub()
 
 
 class CallCounter:
@@ -78,33 +90,14 @@ class MockTts:
             f"{text}\x00{voice_id}\x00{payload.get('target_duration_s')}".encode()
         ).hexdigest()[:16]
         uri = f"audio/{key}.wav"
-        self._write_stub(self.workspace / uri)
+        path = self.workspace / uri
+        if not path.exists():
+            write_atomic(path, _WAV_STUB)
         return {
             "uri": uri,
             "duration_s": duration_s,
             "sample_rate_hz": SAMPLE_RATE_HZ,
         }
-
-    @staticmethod
-    def _write_stub(path: Path) -> None:
-        if path.exists():
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        os.close(fd)
-        try:
-            with wave.open(tmp, "wb") as wav:
-                wav.setnchannels(1)
-                wav.setsampwidth(2)
-                wav.setframerate(SAMPLE_RATE_HZ)
-                wav.writeframes(struct.pack(f"<{_STUB_FRAMES}h", *([0] * _STUB_FRAMES)))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
 
 class EchoTranslator:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .backends.cache import ContentCache
-from .backends.clients import EndpointConfig, ScoreClient, TranslateClient, TtsClient
+from .atomic import write_jsonl
+from .backends.clients import EndpointConfig
 from .backends.mock import LookupTranslator
 from .backends.transport import HttpTransport
 from .corpus import Sample, load_manifest, save_manifest
@@ -36,12 +36,13 @@ from .errors import (
     NoRounds,
 )
 from .evolution import (
-    Backends,
     EvolutionConfig,
+    ModelVersion,
     partition_and_emit,
     run_acquisition,
     run_refinement,
 )
+from .evolution.journal import write_json
 from .evolution.loop import run_loop
 from .evolution.phases import _pick_audio  # shared audio-choice rule
 from .metrics.aggregate import (
@@ -52,7 +53,7 @@ from .metrics.aggregate import (
 )
 from .metrics.bleu import corpus_spbleu
 from .metrics.spm import load_piece_table
-from .mockstack import DEFAULT_VOICE_POOL, build_mock_stack
+from .mockstack import DEFAULT_VOICE_POOL, build_mock_stack, wire_stack
 
 log = logging.getLogger(__name__)
 
@@ -81,6 +82,7 @@ class RunConfig:
 _CONFIG_KEYS = {
     "top-level": {"workspace", "endpoints", "evolution", "metrics", "strict_manifests",
                   "update_hook", "voices", "token"},
+    "endpoints": {"tts", "translate", "score"},
     "endpoint": {"base_url", "timeout_s", "max_attempts", "backoff_base_ms"},
     "evolution": set(EvolutionConfig().to_json()),
     "metrics": {"smoothing", "piece_table_path"},
@@ -108,10 +110,13 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
         raw = _config_section(raw, "top-level")
+        voices = raw.get("voices", list(cfg.voices))
+        if not isinstance(voices, list) or not all(isinstance(v, str) for v in voices):
+            raise UsageError("voices config must be a JSON list of strings")
         try:
             endpoints = {
                 name: EndpointConfig(**_config_section(spec, "endpoint"))
-                for name, spec in raw.get("endpoints", {}).items()
+                for name, spec in _config_section(raw.get("endpoints", {}), "endpoints").items()
             }
             metrics = _config_section(raw.get("metrics", {}), "metrics")
             evolution = _config_section(raw.get("evolution", {}), "evolution")
@@ -123,7 +128,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
                 piece_table_path=metrics.get("piece_table_path"),
                 strict_manifests=raw.get("strict_manifests", cfg.strict_manifests),
                 update_hook=raw.get("update_hook"),
-                voices=tuple(raw.get("voices", cfg.voices)),
+                voices=tuple(voices),
                 token=raw.get("token"),
             )
         except (TypeError, ValueError) as exc:
@@ -162,6 +167,8 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
                 cfg = replace(cfg, evolution=replace(cfg.evolution, **{key: value}))
             except ValueError as exc:
                 raise UsageError(f"invalid --{name.replace('_', '-')}: {exc}") from exc
+    if not cfg.voices:
+        raise UsageError("the voice pool is empty")
     return cfg
 
 
@@ -201,31 +208,11 @@ def build_stack(cfg: RunConfig, lookup_samples: Sequence[Sample] = ()):
         raise UsageError(
             f"endpoints not configured: {', '.join(missing)} (or pass --mock)"
         )
-    cache = ContentCache(ws / "cache")
-
-    def transport(name: str) -> HttpTransport:
-        ep = cfg.endpoints[name]
-        return HttpTransport(ep.base_url, timeout_s=ep.timeout_s, token=cfg.token)
-
-    from .mockstack import MockStack  # same container shape for both modes
-    from .evolution.types import ModelVersion
-
-    version = ModelVersion(0)
-    backends = Backends(
-        tts=TtsClient(transport("tts"), cache, config=cfg.endpoints["tts"]),
-        translate=TranslateClient(
-            transport("translate"), cache, config=cfg.endpoints["translate"],
-            namespace=version.namespace,
-        ),
-        score=ScoreClient(
-            transport("score"), cache, config=cfg.endpoints["score"],
-            namespace=version.namespace,
-        ),
-    )
-    return MockStack(
-        backends=backends, version=version, cache=cache,
-        tts_backend=None, translate_backend=None, score_backend=None,
-    )
+    transports = [
+        HttpTransport(ep.base_url, timeout_s=ep.timeout_s, token=cfg.token)
+        for ep in (cfg.endpoints[name] for name in ("tts", "translate", "score"))
+    ]
+    return wire_stack(str(ws), ModelVersion(0), *transports, endpoints=cfg.endpoints)
 
 
 # --- rendering helpers --------------------------------------------------------
@@ -241,10 +228,7 @@ def _direction_str(direction: Tuple[str, str]) -> str:
 
 def write_report(ws: Path, name: str, payload: dict, override: Optional[str]) -> Path:
     path = Path(override) if override else ws / "reports" / f"{name}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
     return path
 
 
@@ -296,8 +280,9 @@ def _load_samples(path: str, strict: bool) -> List[Sample]:
         raise UsageError(f"manifest not found: {path}") from exc
 
 
-def _load_hypotheses(path: str) -> Dict[str, str]:
-    """JSONL of {"id":..., "text":...} rows keyed by sample id."""
+def _load_hypotheses(path: str, samples: Sequence[Sample]) -> Dict[str, str]:
+    """JSONL of {"id":..., "text":...} rows keyed by sample id; every
+    sample must have one."""
     hyps: Dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -315,6 +300,11 @@ def _load_hypotheses(path: str) -> Dict[str, str]:
         raise MissingHypotheses(f"hypotheses file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise MissingHypotheses(f"{path}: invalid JSON: {exc}") from exc
+    missing = [s.id for s in samples if s.id not in hyps]
+    if missing:
+        raise MissingHypotheses(
+            f"{len(missing)} sample(s) lack hypotheses, first: {missing[0]}"
+        )
     return hyps
 
 
@@ -423,17 +413,14 @@ def cmd_translate(args: argparse.Namespace) -> int:
     stack = build_stack(cfg, samples)
     mode = args.mode
     out = Path(args.out) if args.out else ws / f"hyp.{mode}.jsonl"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            audio = None
-            if mode == "smt":
-                audio, _ = _pick_audio(sample, cfg.evolution.speech_source)
-            hyp = stack.backends.translate.translate(
-                mode, sample.text, audio, sample.direction
-            )
-            fh.write(json.dumps({"id": sample.id, "text": hyp.text}, ensure_ascii=False))
-            fh.write("\n")
+    rows = []
+    for sample in samples:
+        audio = None
+        if mode == "smt":
+            audio, _ = _pick_audio(sample, cfg.evolution.speech_source)
+        hyp = stack.backends.translate.translate(mode, sample.text, audio, sample.direction)
+        rows.append({"id": sample.id, "text": hyp.text})
+    write_jsonl(out, rows)
     print(f"translated {len(samples)} samples in {mode} mode -> {out}")
     payload = {
         "command": "translate",
@@ -450,24 +437,14 @@ def cmd_score(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     ws = _workspace(cfg)
     samples = _load_samples(args.manifest, cfg.strict_manifests)
-    hyps = _load_hypotheses(args.hyp)
-    missing = [s.id for s in samples if s.id not in hyps]
-    if missing:
-        raise MissingHypotheses(
-            f"{len(missing)} sample(s) lack hypotheses, first: {missing[0]}"
-        )
+    hyps = _load_hypotheses(args.hyp, samples)
     stack = build_stack(cfg, samples)
     out = Path(args.out) if args.out else ws / "scores.jsonl"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    values = []
-    with open(out, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            value = stack.backends.score.score(
-                sample.text, hyps[sample.id], sample.reference
-            )
-            values.append(value)
-            fh.write(json.dumps({"id": sample.id, "score": value}))
-            fh.write("\n")
+    values = [
+        stack.backends.score.score(sample.text, hyps[sample.id], sample.reference)
+        for sample in samples
+    ]
+    write_jsonl(out, ({"id": s.id, "score": v} for s, v in zip(samples, values)))
     mean = sum(values) / len(values) if values else 0.0
     print(f"scored {len(values)} hypotheses, mean {mean:.4f} -> {out}")
     payload = {
@@ -519,12 +496,7 @@ def _evaluate_rows(args, cfg: RunConfig) -> List[DirectionScore]:
     samples = _load_samples(args.manifest, cfg.strict_manifests)
     if not args.hyp:
         raise MissingHypotheses("evaluate needs --hyp (or --direction-scores)")
-    hyps = _load_hypotheses(args.hyp)
-    missing = [s.id for s in samples if s.id not in hyps]
-    if missing:
-        raise MissingHypotheses(
-            f"{len(missing)} sample(s) lack hypotheses, first: {missing[0]}"
-        )
+    hyps = _load_hypotheses(args.hyp, samples)
     if not cfg.piece_table_path:
         raise UsageError("metrics.piece_table_path is required for spBLEU")
     table = load_piece_table(cfg.piece_table_path)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .atomic import write_jsonl
 from .errors import (
     EmptyField,
     IdMismatch,
@@ -299,12 +300,7 @@ def load_manifest(path: str | Path, strict: bool = False) -> list[Sample]:
 
 
 def save_manifest(samples: Iterable[Sample], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(json.dumps(sample.to_json(), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, (sample.to_json() for sample in samples))
 
 
 def filter_by_length(

@@ -27,7 +27,6 @@ __all__ = [
     "trainable_for",
     "plan_stages",
     "continual_spec",
-    "jobspec_from_json",
 ]
 
 
@@ -172,10 +171,6 @@ class JobSpec:
             optimizer=OptimizerConfig.from_json(obj["optimizer"]),  # type: ignore[arg-type]
             adapter_meta=obj["adapter_meta"],  # type: ignore[arg-type]
         )
-
-
-def jobspec_from_json(obj: Mapping[str, object]) -> JobSpec:
-    return JobSpec.from_json(obj)
 
 
 def _as_paths(value: Union[str, Iterable[str]]) -> List[str]:

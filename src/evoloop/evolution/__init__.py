@@ -1,7 +1,7 @@
 """Self-evolution loop: acquisition, refinement, update, evaluation."""
 
 from .journal import Journal, fingerprint_inputs
-from .loop import check_convergence, run_loop, run_update_hook, scored_from_sample
+from .loop import check_convergence, run_loop, run_update_hook
 from .phases import (
     PartitionResult,
     choose_voice,
@@ -10,7 +10,6 @@ from .phases import (
     run_acquisition,
     run_evaluation,
     run_refinement,
-    scored_line,
 )
 from .types import (
     Backends,
@@ -31,7 +30,6 @@ __all__ = [
     "check_convergence",
     "run_loop",
     "run_update_hook",
-    "scored_from_sample",
     "PartitionResult",
     "choose_voice",
     "empty_positives_warning",
@@ -39,7 +37,6 @@ __all__ = [
     "run_acquisition",
     "run_evaluation",
     "run_refinement",
-    "scored_line",
     "Backends",
     "EvolutionConfig",
     "Label",

@@ -7,8 +7,9 @@ trusts a phase only when the ledger entry exists and the file bytes
 still hash to the recorded digest; anything else inside a recorded entry
 is treated as corruption rather than silently recomputed.
 
-All writes are temp-file-plus-rename so a kill can never leave a half
-written journal, and all recorded paths are workspace-relative so two
+All writes, the ledger's and every phase file's, go through
+`atomic.write_atomic` (temp file plus rename), so a kill can never leave
+a half-written journal, and all recorded paths are workspace-relative so two
 runs in different directories produce byte-identical trees.
 """
 
@@ -17,10 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
+from ..atomic import write_atomic
 from ..errors import ResumeStateCorrupt
 
 __all__ = ["Journal", "PHASE_FILES", "PHASES", "write_json"]
@@ -55,16 +56,8 @@ def _sha256_file(path: Path) -> str:
 
 def write_json(path: Path, obj) -> None:
     """Write obj as sorted, indented JSON through a temp file and a rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    write_atomic(path, text.encode("utf-8"))
 
 
 class Journal:

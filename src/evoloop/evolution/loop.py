@@ -15,8 +15,9 @@ import shlex
 import subprocess
 from typing import Callable, List, Optional, Sequence
 
+from ..atomic import write_jsonl
 from ..corpus import Sample, load_manifest, save_manifest
-from ..errors import EmptyInput, ResumeStateCorrupt, UpdateHookFailed
+from ..errors import EmptyInput, UpdateHookFailed
 from . import journal as journal_mod
 from .journal import Journal, fingerprint_inputs, write_json
 from .phases import (
@@ -25,7 +26,6 @@ from .phases import (
     run_acquisition,
     run_evaluation,
     run_refinement,
-    write_scored_manifest,
 )
 from .types import (
     Backends,
@@ -35,7 +35,6 @@ from .types import (
     RoundState,
     RoundStatus,
     ScoredSample,
-    SpeechUsed,
 )
 
 log = logging.getLogger(__name__)
@@ -44,7 +43,6 @@ __all__ = [
     "check_convergence",
     "run_loop",
     "run_update_hook",
-    "scored_from_sample",
 ]
 
 
@@ -86,24 +84,6 @@ def run_update_hook(hook, jobspec_path: str) -> None:
     proc = subprocess.run(shlex.split(command))
     if proc.returncode != 0:
         raise UpdateHookFailed(command, proc.returncode)
-
-
-def scored_from_sample(sample: Sample) -> ScoredSample:
-    """Rebuild the scored record from a journaled manifest row."""
-    ann = sample.annotations
-    try:
-        return ScoredSample(
-            sample_id=sample.id,
-            speech_used=SpeechUsed(ann["speech_used"]),
-            s1=float(ann["s1"]),
-            s2=float(ann["s2"]),
-            label=Label(ann["label"]),
-            sample=sample,
-        )
-    except (KeyError, ValueError) as exc:
-        raise ResumeStateCorrupt(
-            f"scored manifest row for {sample.id} is inconsistent: {exc}"
-        ) from exc
 
 
 def _report(on_phase, round_index: int, phase: str, source: str) -> None:
@@ -210,11 +190,11 @@ def run_loop(
                 acquired, config, backends.translate, backends.score,
                 max_in_flight=max_in_flight,
             )
-            write_scored_manifest(scored, scored_path)
+            write_jsonl(scored_path, (s.to_row() for s in scored))
             return scored, None
 
         def load_scored():
-            return [scored_from_sample(s) for s in load_manifest(scored_path, strict=True)]
+            return [ScoredSample.from_row(s) for s in load_manifest(scored_path, strict=True)]
 
         scored = step(k, journal_mod.REFINEMENT, load_scored, refine)
         n_positive = sum(1 for s in scored if s.label is Label.POSITIVE)

@@ -8,7 +8,6 @@ never depend on batch order or thread scheduling.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import random
@@ -17,6 +16,7 @@ from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .. import curriculum
+from ..atomic import write_jsonl
 from ..backends.batch import enforce_failure_budget, run_batch
 from ..corpus import AudioRef, Sample
 from ..errors import DurationOverrun, EmptyEvalSet, EmptyInput, MissingAudio
@@ -38,8 +38,6 @@ __all__ = [
     "partition_and_emit",
     "run_evaluation",
     "PartitionResult",
-    "scored_line",
-    "write_scored_manifest",
     "empty_positives_warning",
 ]
 
@@ -181,28 +179,6 @@ def run_refinement(
     return [item for _, item in _fan_out("refinement", active, make_task, max_in_flight)]
 
 
-def scored_line(item: ScoredSample) -> dict:
-    """Manifest row: the full sample record plus the refinement verdict."""
-    if item.sample is None:
-        raise ValueError(f"scored sample {item.sample_id} lacks its sample record")
-    row = item.sample.to_json()
-    row.update(
-        s1=item.s1,
-        s2=item.s2,
-        label=item.label.value,
-        speech_used=item.speech_used.value,
-    )
-    return row
-
-
-def write_scored_manifest(items: Sequence[ScoredSample], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(json.dumps(scored_line(item), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
-
-
 @dataclass(frozen=True)
 class PartitionResult:
     positives_path: str
@@ -239,8 +215,8 @@ def partition_and_emit(
 
     pos_path = out / "positives.jsonl"
     neg_path = out / "negatives.jsonl"
-    write_scored_manifest(positives, pos_path)
-    write_scored_manifest(negatives, neg_path)
+    write_jsonl(pos_path, (s.to_row() for s in positives))
+    write_jsonl(neg_path, (s.to_row() for s in negatives))
 
     if workspace is not None:
         dataset_ref = os.path.relpath(pos_path, workspace).replace(os.sep, "/")

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
 from ..corpus import Sample
+from ..errors import ResumeStateCorrupt
 
 __all__ = [
     "Label",
@@ -100,14 +101,36 @@ class ScoredSample:
             sample=sample,
         )
 
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "sample_id": self.sample_id,
-            "speech_used": self.speech_used.value,
-            "s1": self.s1,
-            "s2": self.s2,
-            "label": self.label.value,
-        }
+    def to_row(self) -> Dict[str, object]:
+        """Manifest row: the full sample record plus the refinement verdict."""
+        if self.sample is None:
+            raise ValueError(f"scored sample {self.sample_id} lacks its sample record")
+        row = self.sample.to_json()
+        row.update(
+            s1=self.s1,
+            s2=self.s2,
+            label=self.label.value,
+            speech_used=self.speech_used.value,
+        )
+        return row
+
+    @classmethod
+    def from_row(cls, sample: Sample) -> "ScoredSample":
+        """Rebuild the scored record from a journaled row, loaded as a Sample."""
+        ann = sample.annotations
+        try:
+            return cls(
+                sample_id=sample.id,
+                speech_used=SpeechUsed(ann["speech_used"]),
+                s1=float(ann["s1"]),
+                s2=float(ann["s2"]),
+                label=Label(ann["label"]),
+                sample=sample,
+            )
+        except (KeyError, ValueError) as exc:
+            raise ResumeStateCorrupt(
+                f"scored manifest row for {sample.id} is inconsistent: {exc}"
+            ) from exc
 
 
 @dataclass(frozen=True)

@@ -1,36 +1,74 @@
-"""One-call wiring of the in-process mock backends for offline runs.
+"""One wiring of the cached clients over three backends.
 
-Used by the CLI's --mock flag and by tests that drive the full loop
-without a network. The stack shares a single content cache and a single
-model-version cell: the translation and scoring clients namespace their
-cache entries by version, so post-update responses never read stale
-pre-update cache entries.
+`wire_stack` puts any three backends (HTTP transports or in-process
+mocks) behind the cached clients; `build_mock_stack` does it for the
+deterministic mocks, for the CLI's --mock flag and for tests that drive
+the full loop without a network. The stack shares a single content cache
+and a single model-version cell: the translation and scoring clients
+namespace their cache entries by version, so post-update responses never
+read stale pre-update cache entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .backends.cache import ContentCache
-from .backends.clients import ScoreClient, TranslateClient, TtsClient
+from .backends.clients import EndpointConfig, ScoreClient, TranslateClient, TtsClient
 from .backends.mock import ContrastTranslator, MockScorer, MockTts, ScheduledScorer
 from .evolution.types import Backends, ModelVersion
 
-__all__ = ["MockStack", "build_mock_stack", "DEFAULT_VOICE_POOL"]
+__all__ = ["MockStack", "build_mock_stack", "wire_stack", "DEFAULT_VOICE_POOL"]
 
 DEFAULT_VOICE_POOL = ("voice-a", "voice-b", "voice-c", "voice-d", "voice-e")
 
 
 @dataclass
 class MockStack:
+    """The cached clients, their version cell and cache, and the backends
+    behind them."""
+
     backends: Backends
     version: ModelVersion
     cache: ContentCache
-    tts_backend: MockTts
+    tts_backend: object
     translate_backend: object
     score_backend: object
+
+
+def wire_stack(
+    workspace: str,
+    version: ModelVersion,
+    tts_backend,
+    translate_backend,
+    score_backend,
+    endpoints: Optional[Mapping[str, EndpointConfig]] = None,
+) -> MockStack:
+    """Cached clients over the three backends, with one cache under
+    `workspace/cache`; `endpoints` holds each client's retry settings."""
+    endpoints = endpoints or {}
+    cache = ContentCache(Path(workspace) / "cache")
+    backends = Backends(
+        tts=TtsClient(tts_backend, cache, config=endpoints.get("tts")),
+        translate=TranslateClient(
+            translate_backend, cache, config=endpoints.get("translate"),
+            namespace=version.namespace,
+        ),
+        score=ScoreClient(
+            score_backend, cache, config=endpoints.get("score"),
+            namespace=version.namespace,
+        ),
+    )
+    return MockStack(
+        backends=backends,
+        version=version,
+        cache=cache,
+        tts_backend=tts_backend,
+        translate_backend=translate_backend,
+        score_backend=score_backend,
+    )
 
 
 def build_mock_stack(
@@ -49,10 +87,7 @@ def build_mock_stack(
     the version-stepped scorer, which makes eval scores follow the
     schedule as the loop's update phase advances the model version.
     """
-    workspace = str(workspace)
-    cache = ContentCache(Path(workspace) / "cache")
     version = ModelVersion(0)
-
     tts_backend = MockTts(workspace, known_voices=known_voices)
     translate_backend = translator if translator is not None else ContrastTranslator()
     if scorer is not None:
@@ -65,16 +100,4 @@ def build_mock_stack(
     else:
         score_backend = MockScorer()
 
-    backends = Backends(
-        tts=TtsClient(tts_backend, cache),
-        translate=TranslateClient(translate_backend, cache, namespace=version.namespace),
-        score=ScoreClient(score_backend, cache, namespace=version.namespace),
-    )
-    return MockStack(
-        backends=backends,
-        version=version,
-        cache=cache,
-        tts_backend=tts_backend,
-        translate_backend=translate_backend,
-        score_backend=score_backend,
-    )
+    return wire_stack(workspace, version, tts_backend, translate_backend, score_backend)

@@ -72,6 +72,18 @@ class TestContentCache:
         leftovers = list((tmp_path / "cache").rglob("*.tmp"))
         assert leftovers == []
 
+    def test_entries_sit_directly_in_namespace_dir(self, cache, tmp_path):
+        for endpoint in ("tts", "score"):
+            for ns in ("v0", "v1"):
+                for i in range(20):
+                    cache.put(endpoint, ns, {"i": i}, {"ok": i})
+        for endpoint in ("tts", "score"):
+            for ns in ("v0", "v1"):
+                ns_dir = tmp_path / "cache" / endpoint / ns
+                entries = list(ns_dir.iterdir())
+                assert len(entries) == 20
+                assert all(p.is_file() and p.suffix == ".json" for p in entries)
+
 
 class TestMockTts:
     def test_duration_formula(self, tmp_path, cache):

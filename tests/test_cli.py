@@ -218,6 +218,27 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys, config, key):
     assert key in err
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"endpoints": ["tts"]}, "endpoints config must be a JSON object"),
+    ({"endpoints": {"tss": {"base_url": "http://x"}}}, "tss"),
+    ({"voices": []}, "voice pool is empty"),
+    ({"voices": "abc"}, "voices config must be a JSON list of strings"),
+    ({"voices": ["a", 1]}, "voices config must be a JSON list of strings"),
+])
+def test_bad_endpoints_or_voices_config_is_usage_error(corpus_dir, capsys, config, message):
+    conf = corpus_dir / "conf.json"
+    conf.write_text(json.dumps(config))
+    code, err = run_cli_err(loop_argv(corpus_dir, extra=["--config", conf]), capsys)
+    assert code == 2
+    assert message in err
+
+
+def test_empty_voices_flag_is_usage_error(corpus_dir, capsys):
+    code, err = run_cli_err(loop_argv(corpus_dir, extra=["--voices", ","]), capsys)
+    assert code == 2
+    assert "voice pool is empty" in err
+
+
 def test_accepted_config_keys_take_effect(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({

@@ -299,6 +299,25 @@ class TestRoundTrip:
         save_manifest([s], path)
         assert load_manifest(path, strict=True)[0].annotations == s.annotations
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        good = [Sample.build("eng", "fra", f"One {i}.", f"Un {i}.") for i in range(3)]
+        path = tmp_path / "m.jsonl"
+        save_manifest(good, path)
+        before = path.read_bytes()
+        # json cannot encode a set: the third row raises after two encode fine
+        bad = Sample(**{**good[0].__dict__, "annotations": {"s1": {0.5}}})
+        with pytest.raises(TypeError):
+            save_manifest(good[:2] + [bad], path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_written_file_gets_the_mode_open_gives(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        save_manifest([Sample.build("eng", "fra", "One.", "Un.")], path)
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        assert path.stat().st_mode == plain.stat().st_mode
+
 
 class TestFilterByLength:
     def test_boundary_is_exclusive(self):
