@@ -1,26 +1,38 @@
-"""Content-addressed response cache.
+"""Content-addressed response cache in one sqlite3 file.
 
-Layout: <root>/<endpoint>/<namespace>/<hash>.json, where hash is the
-SHA-256 of the canonical request payload. The namespace isolates responses
-produced by different model versions, so a post-update run never reads
-answers the previous weights gave, while byte-identical requests within one
-version always hit. Entries sit directly in the namespace directory; the
-file system indexes large directories itself.
+Layout: <root>/responses.db, one WITHOUT ROWID table keyed by
+(endpoint, namespace, key), where key is the SHA-256 of the canonical
+request payload and response is the JSON text of the answer. The namespace
+isolates responses produced by different model versions, so a post-update
+run never reads answers the previous weights gave, while byte-identical
+requests within one version always hit.
 
-Writes go through write_atomic (a temp file in the same directory, then a
-rename), so readers only ever see complete entries and concurrent
-writers of the same key are harmless (last rename wins with identical
-content).
+The store runs in WAL mode with synchronous=NORMAL and commits every put
+on its own, so a killed process keeps every entry it put before, and
+readers never see a torn entry. Concurrent writers of the same key are
+harmless (INSERT OR REPLACE of identical text). One connection, opened on
+the first get or put, is shared by all threads behind a lock. close()
+checkpoints the WAL and removes its side files; a cache dropped without
+close() does the same when it is garbage-collected.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sqlite3
 import threading
+import weakref
 from pathlib import Path
 
-from ..atomic import write_atomic
+DB_NAME = "responses.db"
+_SCHEMA = """CREATE TABLE IF NOT EXISTS responses (
+    endpoint TEXT NOT NULL,
+    namespace TEXT NOT NULL,
+    key TEXT NOT NULL,
+    response TEXT NOT NULL,
+    PRIMARY KEY (endpoint, namespace, key)
+) WITHOUT ROWID"""
 
 
 def canonical_payload(payload: dict) -> str:
@@ -61,29 +73,51 @@ class ContentCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.stats = CacheStats()
+        self._lock = threading.Lock()
+        self._db: sqlite3.Connection | None = None
+        self._close_db = None
 
-    def _path(self, endpoint: str, namespace: str, key: str) -> Path:
-        return self.root / endpoint / namespace / f"{key}.json"
+    def _connect(self) -> sqlite3.Connection:
+        """The shared connection, opened on first use; caller holds _lock."""
+        if self._db is None:
+            self.root.mkdir(parents=True, exist_ok=True)
+            db = sqlite3.connect(self.root / DB_NAME, isolation_level=None,
+                                 check_same_thread=False)
+            db.execute("PRAGMA journal_mode=WAL")
+            db.execute("PRAGMA synchronous=NORMAL")
+            db.execute(_SCHEMA)
+            # a Connection sits in a reference cycle, so only the cyclic GC
+            # would free it; closing when the cache is dropped removes the
+            # -wal and -shm files right away
+            self._close_db = weakref.finalize(self, db.close)
+            self._db = db
+        return self._db
+
+    def close(self) -> None:
+        """Checkpoint and close the store; a later get or put reopens it."""
+        with self._lock:
+            if self._db is not None:
+                self._close_db()
+                self._db = None
 
     def get(self, endpoint: str, namespace: str, payload: dict) -> dict | None:
-        path = self._path(endpoint, namespace, payload_hash(payload))
-        try:
-            with open(path, encoding="utf-8") as fh:
-                response = json.load(fh)
-        except FileNotFoundError:
-            self.stats.miss()
-            return None
-        except json.JSONDecodeError:
-            # torn entry from a crashed writer predating the rename protocol;
-            # treat as absent, the put() below repairs it
+        key = payload_hash(payload)
+        with self._lock:
+            row = self._connect().execute(
+                "SELECT response FROM responses"
+                " WHERE endpoint = ? AND namespace = ? AND key = ?",
+                (endpoint, namespace, key)).fetchone()
+        if row is None:
             self.stats.miss()
             return None
         self.stats.hit()
-        return response
+        return json.loads(row[0])
 
     def put(self, endpoint: str, namespace: str, payload: dict, response: dict) -> None:
-        path = self._path(endpoint, namespace, payload_hash(payload))
+        key = payload_hash(payload)
         data = json.dumps(response, ensure_ascii=False, sort_keys=True)
-        write_atomic(path, data.encode("utf-8"))
+        with self._lock:
+            self._connect().execute(
+                "INSERT OR REPLACE INTO responses VALUES (?, ?, ?, ?)",
+                (endpoint, namespace, key, data))
         self.stats.wrote()
-

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from ..atomic import write_atomic
-from ..errors import PermanentBackendError, TransientBackendError
+from ..errors import PermanentBackendError
 
 CHARS_PER_SECOND = 15.0
 SAMPLE_RATE_HZ = 16000
@@ -197,35 +197,3 @@ class ScheduledScorer:
         if payload["hypothesis"] == payload["reference"]:
             return {"score": base}
         return {"score": max(0.0, base - self.miss_penalty)}
-
-
-class FlakyWrapper:
-    """Fails the first n calls per distinct payload with a transient error."""
-
-    def __init__(self, inner, fail_first: int = 2):
-        self.inner = inner
-        self.fail_first = fail_first
-        self._seen: dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def _maybe_fail(self, payload: dict) -> None:
-        key = repr(sorted(payload.items()))
-        with self._lock:
-            seen = self._seen.get(key, 0)
-            self._seen[key] = seen + 1
-        if seen < self.fail_first:
-            raise TransientBackendError(f"scripted failure {seen + 1}/{self.fail_first}")
-
-    def __getattr__(self, name):
-        inner_method = getattr(self.inner, name)
-
-        def call(payload: dict) -> dict:
-            self._maybe_fail(payload)
-            return inner_method(payload)
-
-        return call
-
-
-def duration_overrun_tts(workspace: str | Path, duration_s: float = 31.0) -> MockTts:
-    """TTS that always reports the given duration; for ceiling tests."""
-    return MockTts(workspace, duration_override=lambda text: duration_s)

@@ -29,7 +29,7 @@ from .atomic import write_jsonl
 from .backends.clients import EndpointConfig
 from .backends.mock import LookupTranslator
 from .backends.transport import HttpTransport
-from .corpus import Sample, load_manifest, save_manifest
+from .corpus import Sample, load_manifest, save_manifest, split_directions
 from .errors import (
     EvoloopError,
     MissingHypotheses,
@@ -386,10 +386,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     ws = _workspace(cfg)
     samples = _load_samples(args.manifest, cfg.strict_manifests)
-    stack = build_stack(cfg, samples)
-    enriched = run_acquisition(
-        samples, list(cfg.voices), cfg.evolution, stack.backends.tts
-    )
+    with build_stack(cfg, samples) as stack:
+        enriched = run_acquisition(
+            samples, list(cfg.voices), cfg.evolution, stack.backends.tts
+        )
     out = Path(args.out) if args.out else ws / "synth.jsonl"
     save_manifest(enriched, out)
     degraded = sum(1 for s in enriched if s.degraded)
@@ -410,16 +410,17 @@ def cmd_translate(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     ws = _workspace(cfg)
     samples = _load_samples(args.manifest, cfg.strict_manifests)
-    stack = build_stack(cfg, samples)
     mode = args.mode
     out = Path(args.out) if args.out else ws / f"hyp.{mode}.jsonl"
     rows = []
-    for sample in samples:
-        audio = None
-        if mode == "smt":
-            audio, _ = _pick_audio(sample, cfg.evolution.speech_source)
-        hyp = stack.backends.translate.translate(mode, sample.text, audio, sample.direction)
-        rows.append({"id": sample.id, "text": hyp.text})
+    with build_stack(cfg, samples) as stack:
+        for sample in samples:
+            audio = None
+            if mode == "smt":
+                audio, _ = _pick_audio(sample, cfg.evolution.speech_source)
+            hyp = stack.backends.translate.translate(mode, sample.text, audio,
+                                                     sample.direction)
+            rows.append({"id": sample.id, "text": hyp.text})
     write_jsonl(out, rows)
     print(f"translated {len(samples)} samples in {mode} mode -> {out}")
     payload = {
@@ -438,12 +439,12 @@ def cmd_score(args: argparse.Namespace) -> int:
     ws = _workspace(cfg)
     samples = _load_samples(args.manifest, cfg.strict_manifests)
     hyps = _load_hypotheses(args.hyp, samples)
-    stack = build_stack(cfg, samples)
     out = Path(args.out) if args.out else ws / "scores.jsonl"
-    values = [
-        stack.backends.score.score(sample.text, hyps[sample.id], sample.reference)
-        for sample in samples
-    ]
+    with build_stack(cfg, samples) as stack:
+        values = [
+            stack.backends.score.score(sample.text, hyps[sample.id], sample.reference)
+            for sample in samples
+        ]
     write_jsonl(out, ({"id": s.id, "score": v} for s, v in zip(samples, values)))
     mean = sum(values) / len(values) if values else 0.0
     print(f"scored {len(values)} hypotheses, mean {mean:.4f} -> {out}")
@@ -462,10 +463,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     ws = _workspace(cfg)
     samples = _load_samples(args.manifest, cfg.strict_manifests)
-    stack = build_stack(cfg, samples)
-    scored = run_refinement(
-        samples, cfg.evolution, stack.backends.translate, stack.backends.score
-    )
+    with build_stack(cfg, samples) as stack:
+        scored = run_refinement(
+            samples, cfg.evolution, stack.backends.translate, stack.backends.score
+        )
     out_dir = Path(args.out) if args.out else ws / "classify"
     result = partition_and_emit(scored, args.round_index, str(out_dir), workspace=str(ws))
     print(f"positives={result.n_positive} negatives={result.n_negative}")
@@ -500,27 +501,25 @@ def _evaluate_rows(args, cfg: RunConfig) -> List[DirectionScore]:
     if not cfg.piece_table_path:
         raise UsageError("metrics.piece_table_path is required for spBLEU")
     table = load_piece_table(cfg.piece_table_path)
-    stack = build_stack(cfg, samples)
     rows = []
-    from .corpus import split_directions
-
     groups = split_directions(samples)
-    for direction in _select_directions(list(groups), args.direction):
-        group = groups[direction]
-        hyp_texts = [hyps[s.id] for s in group]
-        refs = [s.reference for s in group]
-        spbleu = corpus_spbleu(hyp_texts, refs, table, smoothing=cfg.smoothing)
-        comet = sum(
-            stack.backends.score.score(s.text, hyps[s.id], s.reference) for s in group
-        ) / len(group)
-        rows.append(
-            DirectionScore(
-                direction=direction,
-                spbleu=spbleu.score,
-                comet=comet * 100.0,
-                n_samples=len(group),
+    with build_stack(cfg, samples) as stack:
+        for direction in _select_directions(list(groups), args.direction):
+            group = groups[direction]
+            hyp_texts = [hyps[s.id] for s in group]
+            refs = [s.reference for s in group]
+            spbleu = corpus_spbleu(hyp_texts, refs, table, smoothing=cfg.smoothing)
+            comet = sum(
+                stack.backends.score.score(s.text, hyps[s.id], s.reference) for s in group
+            ) / len(group)
+            rows.append(
+                DirectionScore(
+                    direction=direction,
+                    spbleu=spbleu.score,
+                    comet=comet * 100.0,
+                    n_samples=len(group),
+                )
             )
-        )
     return rows
 
 
@@ -563,17 +562,17 @@ def cmd_loop(args: argparse.Namespace) -> int:
         cfg = replace(
             cfg, evolution=replace(cfg.evolution, fixed_eval_voice=cfg.voices[0])
         )
-    stack = build_stack(cfg, list(train) + list(eval_samples))
-    history = run_loop(
-        train,
-        eval_samples,
-        list(cfg.voices),
-        cfg.evolution,
-        stack.backends,
-        str(ws),
-        update_hook=cfg.update_hook,
-        version=stack.version,
-    )
+    with build_stack(cfg, list(train) + list(eval_samples)) as stack:
+        history = run_loop(
+            train,
+            eval_samples,
+            list(cfg.voices),
+            cfg.evolution,
+            stack.backends,
+            str(ws),
+            update_hook=cfg.update_hook,
+            version=stack.version,
+        )
     for state in history:
         print(
             f"round {state.round_index}: "

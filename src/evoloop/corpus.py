@@ -303,20 +303,6 @@ def save_manifest(samples: Iterable[Sample], path: str | Path) -> None:
     write_jsonl(path, (sample.to_json() for sample in samples))
 
 
-def filter_by_length(
-    samples: Iterable[Sample], max_chars: int
-) -> tuple[list[Sample], list[Sample]]:
-    """Partition into (kept, dropped) by source char count; strictly-under
-    semantics, so char_len == max_chars is dropped. Order preserved."""
-    if max_chars < 1:
-        raise ValueError(f"max_chars must be >= 1, got {max_chars}")
-    kept: list[Sample] = []
-    dropped: list[Sample] = []
-    for sample in samples:
-        (kept if sample.char_len < max_chars else dropped).append(sample)
-    return kept, dropped
-
-
 def split_directions(samples: Iterable[Sample]) -> dict[tuple[str, str], list[Sample]]:
     """Group samples by (src_lang, tgt_lang); within-group order preserved."""
     groups: dict[tuple[str, str], list[Sample]] = {}

@@ -28,7 +28,7 @@ DEFAULT_VOICE_POOL = ("voice-a", "voice-b", "voice-c", "voice-d", "voice-e")
 @dataclass
 class MockStack:
     """The cached clients, their version cell and cache, and the backends
-    behind them."""
+    behind them. Used as a context manager, it closes the cache on exit."""
 
     backends: Backends
     version: ModelVersion
@@ -36,6 +36,12 @@ class MockStack:
     tts_backend: object
     translate_backend: object
     score_backend: object
+
+    def __enter__(self) -> "MockStack":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.cache.close()
 
 
 def wire_stack(

@@ -1,8 +1,16 @@
 """Client facades, mocks, and the response cache."""
 
+import json
+import os
 import random
+import signal
+import sqlite3
+import subprocess
+import sys
+import threading
 import wave
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,16 +22,15 @@ from evoloop.backends import (
     TranslateClient,
     TranslationMode,
     TtsClient,
+    payload_hash,
 )
 from evoloop.backends.mock import (
     ContrastTranslator,
     EchoTranslator,
-    FlakyWrapper,
     LookupTranslator,
     MockScorer,
     MockTts,
     ScheduledScorer,
-    duration_overrun_tts,
     token_f1,
 )
 from evoloop.corpus import AudioOrigin, AudioRef
@@ -34,11 +41,66 @@ from evoloop.errors import (
     ModeAudioMismatch,
     ScoreOutOfRange,
     SynthesisRejected,
+    TransientBackendError,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def no_sleep(_s):
     pass
+
+
+class FlakyWrapper:
+    """Fails the first n calls per distinct payload with a transient error."""
+
+    def __init__(self, inner, fail_first: int = 2):
+        self.inner = inner
+        self.fail_first = fail_first
+        self._seen: dict[str, int] = {}
+        self._lock = threading.Lock()
+
+    def _maybe_fail(self, payload: dict) -> None:
+        key = repr(sorted(payload.items()))
+        with self._lock:
+            seen = self._seen.get(key, 0)
+            self._seen[key] = seen + 1
+        if seen < self.fail_first:
+            raise TransientBackendError(f"scripted failure {seen + 1}/{self.fail_first}")
+
+    def __getattr__(self, name):
+        inner_method = getattr(self.inner, name)
+
+        def call(payload: dict) -> dict:
+            self._maybe_fail(payload)
+            return inner_method(payload)
+
+        return call
+
+
+def duration_overrun_tts(workspace, duration_s: float = 31.0) -> MockTts:
+    """TTS that always reports the given duration; for ceiling tests."""
+    return MockTts(workspace, duration_override=lambda text: duration_s)
+
+
+def stored_texts(root) -> dict:
+    """(endpoint, namespace, key) -> response text, read past the cache."""
+    db = sqlite3.connect(Path(root) / "responses.db")
+    try:
+        rows = db.execute("SELECT endpoint, namespace, key, response FROM responses")
+        return {(e, ns, k): text for e, ns, k, text in rows}
+    finally:
+        db.close()
+
+
+KILLED_WRITER = """
+import os, signal, sys
+from evoloop.backends.cache import ContentCache
+cache = ContentCache(sys.argv[1])
+for i in range(int(sys.argv[2])):
+    cache.put("translate", "v0", {"i": i}, {"text": f"ជំរាបសួរ {i}", "n": i})
+os.kill(os.getpid(), signal.SIGKILL)
+"""
 
 
 @pytest.fixture
@@ -72,17 +134,88 @@ class TestContentCache:
         leftovers = list((tmp_path / "cache").rglob("*.tmp"))
         assert leftovers == []
 
-    def test_entries_sit_directly_in_namespace_dir(self, cache, tmp_path):
-        for endpoint in ("tts", "score"):
+    def test_store_is_one_file(self, tmp_path):
+        cache = ContentCache(tmp_path / "cache")
+        for endpoint in ("tts", "translate", "score"):
             for ns in ("v0", "v1"):
                 for i in range(20):
-                    cache.put(endpoint, ns, {"i": i}, {"ok": i})
-        for endpoint in ("tts", "score"):
+                    cache.put(endpoint, ns, {"i": i}, {"ok": [endpoint, ns, i]})
+        cache.close()
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.db"]
+        reopened = ContentCache(tmp_path / "cache")
+        for endpoint in ("tts", "translate", "score"):
             for ns in ("v0", "v1"):
-                ns_dir = tmp_path / "cache" / endpoint / ns
-                entries = list(ns_dir.iterdir())
-                assert len(entries) == 20
-                assert all(p.is_file() and p.suffix == ".json" for p in entries)
+                for i in range(20):
+                    assert reopened.get(endpoint, ns, {"i": i}) == {"ok": [endpoint, ns, i]}
+        reopened.close()
+
+    def test_dropped_without_close_leaves_only_the_store(self, tmp_path):
+        cache = ContentCache(tmp_path / "cache")
+        cache.put("score", "v0", {"i": 1}, {"score": 0.5})
+        assert cache.get("score", "v0", {"i": 1}) == {"score": 0.5}
+        del cache  # no close(), no garbage collection
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.db"]
+
+    def test_killed_writer_keeps_every_put(self, tmp_path):
+        k = 25
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", KILLED_WRITER, str(tmp_path / "cache"),
+                               str(k)], env=env, capture_output=True, timeout=60)
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        cache = ContentCache(tmp_path / "cache")
+        for i in range(k):
+            assert cache.get("translate", "v0", {"i": i}) == {"text": f"ជំរាបសួរ {i}", "n": i}
+        cache.close()
+        want = {
+            ("translate", "v0", payload_hash({"i": i})):
+                json.dumps({"text": f"ជំរាបសួរ {i}", "n": i}, ensure_ascii=False, sort_keys=True)
+            for i in range(k)
+        }
+        assert stored_texts(tmp_path / "cache") == want
+
+    def test_concurrent_writers_and_readers(self, cache):
+        def response(i):
+            return {"text": "x" * (i * 37 % 500), "i": i}
+
+        errors = []
+
+        def worker(t):
+            try:
+                for i in range(200):
+                    key = (i + 25 * t) % 100  # each thread writes every key twice
+                    cache.put("score", "v0", {"k": key}, response(key))
+                    other = (key * 7) % 100
+                    got = cache.get("score", "v0", {"k": other})
+                    if got is not None and got != response(other):
+                        errors.append(got)
+            except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for key in range(100):
+            assert cache.get("score", "v0", {"k": key}) == response(key)
+        assert cache.stats.snapshot()["writes"] == 8 * 200
+
+    def test_entry_in_the_file_layout_is_not_read(self, tmp_path):
+        payload = {"text": "hi", "voice_id": "v1"}
+        old = tmp_path / "cache" / "tts" / "v0" / f"{payload_hash(payload)}.json"
+        old.parent.mkdir(parents=True)
+        old.write_text(json.dumps({"uri": "old.wav"}), encoding="utf-8")
+        cache = ContentCache(tmp_path / "cache")
+        assert cache.get("tts", "v0", payload) is None
+        cache.close()
 
 
 class TestMockTts:

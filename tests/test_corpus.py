@@ -12,7 +12,6 @@ from evoloop.corpus import (
     AudioRef,
     ResourceLevel,
     Sample,
-    filter_by_length,
     hash_sample,
     load_manifest,
     resource_level,
@@ -317,33 +316,6 @@ class TestRoundTrip:
         plain = tmp_path / "plain"
         plain.write_text("")
         assert path.stat().st_mode == plain.stat().st_mode
-
-
-class TestFilterByLength:
-    def test_boundary_is_exclusive(self):
-        short = Sample.build("eng", "deu", "x" * 9, "r")
-        exact = Sample.build("eng", "deu", "y" * 10, "r")
-        longer = Sample.build("eng", "deu", "z" * 11, "r")
-        kept, dropped = filter_by_length([short, exact, longer], max_chars=10)
-        assert kept == [short]
-        assert dropped == [exact, longer]
-
-    def test_partition_is_lossless_and_ordered(self):
-        rng = random.Random(99)
-        samples = [Sample.build("eng", "deu", "w" * rng.randint(1, 40), f"r{i}")
-                   for i in range(100)]
-        kept, dropped = filter_by_length(samples, max_chars=20)
-        assert len(kept) + len(dropped) == len(samples)
-        assert all(s.char_len < 20 for s in kept)
-        assert all(s.char_len >= 20 for s in dropped)
-        # order within each side follows input order
-        ids = {s.id: i for i, s in enumerate(samples)}
-        assert [ids[s.id] for s in kept] == sorted(ids[s.id] for s in kept)
-        assert [ids[s.id] for s in dropped] == sorted(ids[s.id] for s in dropped)
-
-    def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            filter_by_length([], 0)
 
 
 class TestSplitDirections:
