@@ -4,6 +4,11 @@ Config resolution: built-in defaults, then the --config JSON file, then
 the EVOLOOP_WORKSPACE environment variable (workspace key only), then
 command-line flags. Flags always win.
 
+Every subcommand shares one skeleton in `main`: load the config, make
+the workspace, run the command, write its JSON report, map exceptions to
+exit codes. A `cmd_*` function takes `(args, cfg, ws)` and returns
+`(exit_code, report_payload)`; it only does its own work.
+
 Exit codes are a stable contract: 0 success, 1 validation or domain
 failure, 2 I/O or configuration failure.
 
@@ -29,7 +34,14 @@ from .atomic import write_jsonl
 from .backends.clients import EndpointConfig
 from .backends.mock import LookupTranslator
 from .backends.transport import HttpTransport
-from .corpus import Sample, load_manifest, save_manifest, split_directions
+from .corpus import (
+    ResourceLevel,
+    Sample,
+    load_manifest,
+    sample_from_json,
+    save_manifest,
+    split_directions,
+)
 from .errors import (
     EvoloopError,
     MissingHypotheses,
@@ -62,6 +74,9 @@ class UsageError(Exception):
     """Configuration or invocation problem; maps to exit code 2."""
 
 
+Outcome = Tuple[int, dict]  # a subcommand's exit code and JSON report payload
+
+
 # --- configuration -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -87,6 +102,7 @@ _CONFIG_KEYS = {
     "evolution": set(EvolutionConfig().to_json()),
     "metrics": {"smoothing", "piece_table_path"},
 }
+_SCALAR_KEYS = {"workspace": str, "update_hook": str, "token": str, "strict_manifests": bool}
 
 
 def _config_section(obj, where: str) -> dict:
@@ -110,6 +126,10 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
         raw = _config_section(raw, "top-level")
+        for key, kind in _SCALAR_KEYS.items():
+            if key in raw and not isinstance(raw[key], kind):
+                name = "boolean" if kind is bool else "string"
+                raise UsageError(f"{key} config must be a JSON {name}")
         voices = raw.get("voices", list(cfg.voices))
         if not isinstance(voices, list) or not all(isinstance(v, str) for v in voices):
             raise UsageError("voices config must be a JSON list of strings")
@@ -192,9 +212,8 @@ def _lookup_outputs(samples: Sequence[Sample]) -> dict:
     return outputs
 
 
-def build_stack(cfg: RunConfig, lookup_samples: Sequence[Sample] = ()):
+def build_stack(cfg: RunConfig, ws: Path, lookup_samples: Sequence[Sample] = ()):
     """Mock or HTTP backends behind the cached clients."""
-    ws = _workspace(cfg)
     if cfg.mock:
         translator = None
         if cfg.mock_schedule is not None:
@@ -226,16 +245,13 @@ def _direction_str(direction: Tuple[str, str]) -> str:
     return f"{direction[0]}-{direction[1]}"
 
 
-def write_report(ws: Path, name: str, payload: dict, override: Optional[str]) -> Path:
-    path = Path(override) if override else ws / "reports" / f"{name}.json"
-    write_json(path, payload)
-    return path
+def _ws_name(path: Path, ws: Path) -> str:
+    """How a report names an output file: bare if it sits in the workspace."""
+    return str(path.name if path.parent == ws else path)
 
 
 def _resource_report(rows: Sequence[DirectionScore]) -> dict:
     """Print the resource-level table; return its `groups` payload."""
-    from .corpus import ResourceLevel
-
     groups = aggregate_by_resource(rows)
     order = {level: i for i, level in enumerate(ResourceLevel)}
     print("resource     spBLEU / COMET")
@@ -291,9 +307,10 @@ def _load_hypotheses(path: str, samples: Sequence[Sample]) -> Dict[str, str]:
                 if not line:
                     continue
                 obj = json.loads(line)
-                if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
+                if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
+                        and isinstance(obj.get("text"), str)):
                     raise MissingHypotheses(
-                        f"{path}:{line_no}: rows need 'id' and 'text'"
+                        f"{path}:{line_no}: rows need string 'id' and 'text'"
                     )
                 hyps[obj["id"]] = obj["text"]
     except FileNotFoundError as exc:
@@ -308,7 +325,16 @@ def _load_hypotheses(path: str, samples: Sequence[Sample]) -> Dict[str, str]:
     return hyps
 
 
-def _direction_rows_from_file(path: str) -> List[DirectionScore]:
+def _language_pair(value) -> Tuple[str, str]:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(code, str) for code in value)):
+        raise TypeError(f"direction must be a [src, tgt] pair, got {value!r}")
+    return tuple(value)
+
+
+def _direction_rows(args: argparse.Namespace) -> List[DirectionScore]:
+    """The --direction-scores rows that --direction selects."""
+    path = args.direction_scores
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -316,25 +342,27 @@ def _direction_rows_from_file(path: str) -> List[DirectionScore]:
         raise UsageError(f"cannot read direction scores: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"direction scores file is not valid JSON: {exc}") from exc
-    rows = raw["rows"] if isinstance(raw, dict) else raw
-    out = []
-    for obj in rows:
-        direction = tuple(obj["direction"])
-        out.append(
+    try:
+        rows = [
             DirectionScore(
-                direction=direction,
+                direction=_language_pair(obj["direction"]),
                 spbleu=float(obj["spbleu"]),
                 comet=float(obj["comet"]),
                 n_samples=int(obj.get("n_samples", 1)),
             )
-        )
-    return out
+            for obj in (raw["rows"] if isinstance(raw, dict) else raw)
+        ]
+    except (KeyError, TypeError) as exc:
+        raise UsageError(
+            f"malformed direction scores in {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+    keep = set(_select_directions([r.direction for r in rows], args.direction))
+    return [r for r in rows if r.direction in keep]
 
 
 # --- subcommands -----------------------------------------------------------------
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
+def cmd_validate(args: argparse.Namespace, cfg: RunConfig, ws: Optional[Path]) -> Outcome:
     errors: List[Tuple[int, str]] = []
     count = 0
     try:
@@ -350,13 +378,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "n_samples": count,
         "errors": [{"line": n, "error": m} for n, m in errors],
     }
-    if args.report:
-        write_report(_workspace(cfg), "validate", payload, args.report)
     if errors:
         print(f"{count} valid, {len(errors)} invalid")
-        return 1
+        return 1, payload
     print(f"{count} samples OK")
-    return 0
+    return 0, payload
 
 
 _LINE_PREFIX = re.compile(r"^line \d+: ")
@@ -373,7 +399,6 @@ def _iter_with_errors(path, strict, errors):
             except json.JSONDecodeError as exc:
                 errors.append((line_no, f"invalid JSON: {exc.msg}"))
                 continue
-            from .corpus import sample_from_json
             try:
                 if not isinstance(obj, dict):
                     raise EvoloopError("manifest line must be a JSON object")
@@ -382,11 +407,9 @@ def _iter_with_errors(path, strict, errors):
                 errors.append((line_no, _LINE_PREFIX.sub("", str(exc))))
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    ws = _workspace(cfg)
+def cmd_synth(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
     samples = _load_samples(args.manifest, cfg.strict_manifests)
-    with build_stack(cfg, samples) as stack:
+    with build_stack(cfg, ws, samples) as stack:
         enriched = run_acquisition(
             samples, list(cfg.voices), cfg.evolution, stack.backends.tts
         )
@@ -399,21 +422,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "n_input": len(samples),
         "n_synthesized": len(enriched),
         "n_degraded": degraded,
-        "manifest_out": str(out.name if out.parent == ws else out),
+        "manifest_out": _ws_name(out, ws),
     }
-    if args.report:
-        write_report(ws, "synth", payload, args.report)
-    return 0
+    return 0, payload
 
 
-def cmd_translate(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    ws = _workspace(cfg)
+def cmd_translate(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
     samples = _load_samples(args.manifest, cfg.strict_manifests)
     mode = args.mode
     out = Path(args.out) if args.out else ws / f"hyp.{mode}.jsonl"
     rows = []
-    with build_stack(cfg, samples) as stack:
+    with build_stack(cfg, ws, samples) as stack:
         for sample in samples:
             audio = None
             if mode == "smt":
@@ -427,20 +446,16 @@ def cmd_translate(args: argparse.Namespace) -> int:
         "command": "translate",
         "mode": mode,
         "n": len(samples),
-        "hypotheses": str(out.name if out.parent == ws else out),
+        "hypotheses": _ws_name(out, ws),
     }
-    if args.report:
-        write_report(ws, "translate", payload, args.report)
-    return 0
+    return 0, payload
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    ws = _workspace(cfg)
+def cmd_score(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
     samples = _load_samples(args.manifest, cfg.strict_manifests)
     hyps = _load_hypotheses(args.hyp, samples)
     out = Path(args.out) if args.out else ws / "scores.jsonl"
-    with build_stack(cfg, samples) as stack:
+    with build_stack(cfg, ws, samples) as stack:
         values = [
             stack.backends.score.score(sample.text, hyps[sample.id], sample.reference)
             for sample in samples
@@ -452,18 +467,14 @@ def cmd_score(args: argparse.Namespace) -> int:
         "command": "score",
         "n": len(values),
         "mean_score": mean,
-        "scores": str(out.name if out.parent == ws else out),
+        "scores": _ws_name(out, ws),
     }
-    if args.report:
-        write_report(ws, "score", payload, args.report)
-    return 0
+    return 0, payload
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    ws = _workspace(cfg)
+def cmd_classify(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
     samples = _load_samples(args.manifest, cfg.strict_manifests)
-    with build_stack(cfg, samples) as stack:
+    with build_stack(cfg, ws, samples) as stack:
         scored = run_refinement(
             samples, cfg.evolution, stack.backends.translate, stack.backends.score
         )
@@ -481,17 +492,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "jobspec": os.path.relpath(result.jobspec_path, ws),
         "warning": result.warning,
     }
-    if args.report:
-        write_report(ws, "classify", payload, args.report)
-    return 0
+    return 0, payload
 
 
-def _evaluate_rows(args, cfg: RunConfig) -> List[DirectionScore]:
+def _evaluate_rows(args, cfg: RunConfig, ws: Path) -> List[DirectionScore]:
     """Rows for the directions --direction selects; only those are scored."""
     if args.direction_scores:
-        return _filter_directions(
-            _direction_rows_from_file(args.direction_scores), args.direction
-        )
+        return _direction_rows(args)
     if not args.manifest:
         raise UsageError("evaluate needs a manifest or --direction-scores")
     samples = _load_samples(args.manifest, cfg.strict_manifests)
@@ -503,7 +510,7 @@ def _evaluate_rows(args, cfg: RunConfig) -> List[DirectionScore]:
     table = load_piece_table(cfg.piece_table_path)
     rows = []
     groups = split_directions(samples)
-    with build_stack(cfg, samples) as stack:
+    with build_stack(cfg, ws, samples) as stack:
         for direction in _select_directions(list(groups), args.direction):
             group = groups[direction]
             hyp_texts = [hyps[s.id] for s in group]
@@ -536,33 +543,23 @@ def _select_directions(
     return selected
 
 
-def _filter_directions(rows: List[DirectionScore], spec: Optional[str]) -> List[DirectionScore]:
-    keep = set(_select_directions([r.direction for r in rows], spec))
-    return [r for r in rows if r.direction in keep]
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    ws = _workspace(cfg)
-    rows = _evaluate_rows(args, cfg)
+def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
+    rows = _evaluate_rows(args, cfg, ws)
     payload = _direction_report("evaluate", rows)
     if args.by_resource:
         print()
         payload["by_resource"] = _resource_report(rows)
-    write_report(ws, "evaluate", payload, args.report)
-    return 0
+    return 0, payload
 
 
-def cmd_loop(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    ws = _workspace(cfg)
+def cmd_loop(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
     train = _load_samples(args.train, cfg.strict_manifests)
     eval_samples = _load_samples(args.eval, cfg.strict_manifests)
     if not cfg.evolution.fixed_eval_voice:
         cfg = replace(
             cfg, evolution=replace(cfg.evolution, fixed_eval_voice=cfg.voices[0])
         )
-    with build_stack(cfg, list(train) + list(eval_samples)) as stack:
+    with build_stack(cfg, ws, list(train) + list(eval_samples)) as stack:
         history = run_loop(
             train,
             eval_samples,
@@ -581,13 +578,7 @@ def cmd_loop(args: argparse.Namespace) -> int:
             f"delta={fmt1(state.delta_vs_best * 100, signed=True)} "
             f"{state.status.value}"
         )
-    payload = {
-        "command": "loop",
-        "rounds": [state.to_json() for state in history],
-    }
-    if args.report:
-        write_report(ws, "loop", payload, args.report)
-    return 0
+    return 0, {"command": "loop", "rounds": [state.to_json() for state in history]}
 
 
 def _read_round_states(ws: Path) -> Tuple[Optional[float], List[dict]]:
@@ -612,9 +603,7 @@ def _read_round_states(ws: Path) -> Tuple[Optional[float], List[dict]]:
     return baseline, states
 
 
-def cmd_report_rounds(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    ws = _workspace(cfg)
+def cmd_report_rounds(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
     baseline, states = _read_round_states(ws)
 
     directions: List[str] = sorted(
@@ -657,38 +646,16 @@ def cmd_report_rounds(args: argparse.Namespace) -> int:
             writer.writerow(header)
             writer.writerows(table_rows)
 
-    payload = {
-        "command": "report-rounds",
-        "baseline": baseline,
-        "rounds": states,
-    }
-    if args.report:
-        write_report(ws, "report_rounds", payload, args.report)
-    return 0
+    return 0, {"command": "report-rounds", "baseline": baseline, "rounds": states}
 
 
-def cmd_report_resource(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    ws = _workspace(cfg)
-    rows = _filter_directions(
-        _direction_rows_from_file(args.direction_scores), args.direction
-    )
-    payload = {"command": "report-resource", "groups": _resource_report(rows)}
-    if args.report:
-        write_report(ws, "report_resource", payload, args.report)
-    return 0
+def cmd_report_resource(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
+    groups = _resource_report(_direction_rows(args))
+    return 0, {"command": "report-resource", "groups": groups}
 
 
-def cmd_report_directions(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    ws = _workspace(cfg)
-    rows = _filter_directions(
-        _direction_rows_from_file(args.direction_scores), args.direction
-    )
-    payload = _direction_report("report-directions", rows)
-    if args.report:
-        write_report(ws, "report_directions", payload, args.report)
-    return 0
+def cmd_report_directions(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
+    return 0, _direction_report("report-directions", _direction_rows(args))
 
 
 # --- parser ---------------------------------------------------------------------
@@ -702,7 +669,7 @@ def _add_global_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strict", action="store_true",
                         help="reject unknown manifest fields")
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
-    parser.add_argument("--report", help="JSON report path override")
+    parser.add_argument("--report", help="write the JSON report to this path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -800,17 +767,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "verbose", False):
         logging.basicConfig(level=logging.INFO, stream=sys.stderr)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EvoloopError as exc:
+        cfg = load_run_config(args)
+        # validate reads only its manifest, so it makes the workspace only
+        # when a --report is asked for.
+        ws = _workspace(cfg) if args.func is not cmd_validate or args.report else None
+        code, payload = args.func(args, cfg, ws)
+        # Only evaluate has a default report path; it always writes one.
+        report = args.report
+        if args.func is cmd_evaluate and not report:
+            report = ws / "reports" / "evaluate.json"
+        if report:
+            write_json(Path(report), payload)
+        return code
+    except (EvoloopError, ValueError) as exc:  # before OSError: some errors are both
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

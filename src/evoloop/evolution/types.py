@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Mapping, Optional
 
 from ..corpus import Sample
@@ -216,15 +216,11 @@ class EvolutionConfig:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, object]) -> "EvolutionConfig":
-        kwargs = dict(obj)
-        return cls(
-            epsilon=float(kwargs.get("epsilon", 0.001)),
-            patience=int(kwargs.get("patience", 1)),
-            max_rounds=int(kwargs.get("max_rounds", 5)),
-            seed=int(kwargs.get("seed", 0)),
-            speech_source=SpeechSource(kwargs.get("speech_source", "PreferSynthetic")),
-            fixed_eval_voice=str(kwargs.get("fixed_eval_voice", "")),
-        )
+        """Missing keys take the field defaults; each value is coerced to its
+        default's type, which fixes `to_json()` and so the journal fingerprint."""
+        return cls(**{
+            f.name: type(f.default)(obj.get(f.name, f.default)) for f in fields(cls)
+        })
 
 
 @dataclass

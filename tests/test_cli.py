@@ -9,6 +9,8 @@ import pytest
 
 from evoloop.cli import UsageError, build_parser, fmt1, load_run_config, main
 from evoloop.corpus import hash_sample
+from evoloop.evolution import EvolutionConfig
+from evoloop.evolution.journal import fingerprint_inputs
 
 SCHEDULE = "0.800,0.819,0.839,0.856,0.8565"
 
@@ -114,6 +116,21 @@ def test_validate_reports_each_bad_line(tmp_path, capsys):
 def test_validate_missing_file_is_config_error(tmp_path, capsys):
     code, _ = run_cli(["validate", tmp_path / "nope.jsonl"], capsys)
     assert code == 2
+
+
+def test_validate_makes_the_workspace_only_for_a_report(corpus_dir, capsys):
+    blocked = corpus_dir / "blocker"
+    blocked.write_text("")
+    for ws in (corpus_dir / "absent", blocked / "ws"):
+        code, out = run_cli(["validate", corpus_dir / "train.jsonl", "--workspace", ws], capsys)
+        assert (code, out) == (0, "6 samples OK\n")
+        assert not ws.exists()
+    ws = corpus_dir / "absent"
+    code, _ = run_cli(["validate", corpus_dir / "train.jsonl", "--workspace", ws,
+                       "--report", corpus_dir / "validate.json"], capsys)
+    assert code == 0
+    assert ws.is_dir()
+    assert json.loads((corpus_dir / "validate.json").read_text())["n_samples"] == 6
 
 
 def test_validate_strict_rejects_unknown_fields(tmp_path, capsys):
@@ -224,6 +241,10 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys, config, key):
     ({"voices": []}, "voice pool is empty"),
     ({"voices": "abc"}, "voices config must be a JSON list of strings"),
     ({"voices": ["a", 1]}, "voices config must be a JSON list of strings"),
+    ({"strict_manifests": "no"}, "strict_manifests config must be a JSON boolean"),
+    ({"workspace": 5}, "workspace config must be a JSON string"),
+    ({"update_hook": ["true"]}, "update_hook config must be a JSON string"),
+    ({"token": 1}, "token config must be a JSON string"),
 ])
 def test_bad_endpoints_or_voices_config_is_usage_error(corpus_dir, capsys, config, message):
     conf = corpus_dir / "conf.json"
@@ -259,6 +280,21 @@ def test_accepted_config_keys_take_effect(tmp_path):
         "speech_source": "PreferAuthentic", "fixed_eval_voice": "v1"}
 
 
+def test_evolution_config_defaults_come_from_the_dataclass():
+    assert EvolutionConfig.from_json({}) == EvolutionConfig()
+    # the golden loop's config, as its journal fingerprints it
+    config = EvolutionConfig.from_json({"seed": 13, "fixed_eval_voice": "voice-a"})
+    assert json.dumps(config.to_json()) == (
+        '{"epsilon": 0.001, "patience": 1, "max_rounds": 5, "seed": 13, '
+        '"speech_source": "PreferSynthetic", "fixed_eval_voice": "voice-a"}')
+    assert fingerprint_inputs(config.to_json(), [], [], [])["config"] == (
+        "2f8d35e6c1f2db87b1dd1bbc7d6509284521ab4ef85a45381e5c7544748e919c")
+    # values keep the coercion to each default's type
+    coerced = EvolutionConfig.from_json({"epsilon": 1, "seed": "13"}).to_json()
+    assert (coerced["epsilon"], coerced["seed"]) == (1.0, 13)
+    assert isinstance(coerced["epsilon"], float)
+
+
 def test_invalid_epsilon_flag_is_usage_error(corpus_dir):
     with pytest.raises(UsageError):
         load_run_config(parse(loop_argv(corpus_dir, extra=["--epsilon", "-1"])))
@@ -269,6 +305,38 @@ def test_endpoints_required_without_mock(corpus_dir, capsys):
     code, err = run_cli_err(argv, capsys)
     assert code == 2
     assert "endpoints not configured" in err
+
+
+def hyp_rows(rows, src="eng", tgt="khm"):
+    return [{"id": hash_sample(r["text"], r["reference"], src, tgt), "text": r["reference"]}
+            for r in rows]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["synth", "{train}"], id="synth"),
+    pytest.param(["translate", "{train}"], id="translate"),
+    pytest.param(["score", "{train}", "--hyp", "{hyp}"], id="score"),
+    pytest.param(["classify", "{train}"], id="classify"),
+    pytest.param(["evaluate", "--direction-scores", "{scores}"], id="evaluate"),
+    pytest.param(["loop", "--train", "{train}", "--eval", "{eval}"], id="loop"),
+    pytest.param(["report", "rounds"], id="report-rounds"),
+    pytest.param(["report", "resource", "--direction-scores", "{scores}"],
+                 id="report-resource"),
+    pytest.param(["report", "directions", "--direction-scores", "{scores}"],
+                 id="report-directions"),
+])
+def test_workspace_that_cannot_be_made_is_usage_error(corpus_dir, dirscores, capsys, argv):
+    """Checked before any work: a command must not fail later, inside its
+    backends or the loop, with a different exit code."""
+    blocked = corpus_dir / "blocker"
+    blocked.write_text("")
+    paths = {"train": corpus_dir / "train.jsonl", "eval": corpus_dir / "eval.jsonl",
+             "scores": dirscores,
+             "hyp": write_manifest(corpus_dir / "hyp.jsonl", hyp_rows(make_rows(6)))}
+    argv = [str(a).format(**paths) for a in argv]
+    code, err = run_cli_err(argv + ["--workspace", blocked / "ws", "--mock"], capsys)
+    assert code == 2
+    assert "workspace not writable" in err
 
 
 # --- pipeline subcommands -----------------------------------------------------
@@ -335,6 +403,19 @@ def test_score_missing_hypotheses(corpus_dir, capsys):
     assert "lack hypotheses" in err
 
 
+@pytest.mark.parametrize("bad", [{"text": 5}, {"id": [1]}], ids=["int-text", "list-id"])
+def test_score_non_string_hypothesis_row(corpus_dir, capsys, bad):
+    ws = corpus_dir / "ws"
+    rows = hyp_rows(make_rows(6))
+    rows[1] = dict(rows[1], **bad)
+    hyp = write_manifest(ws / "hyp.jsonl", rows)
+    code, err = run_cli_err(
+        ["score", corpus_dir / "train.jsonl", "--hyp", hyp,
+         "--workspace", ws, "--mock"], capsys)
+    assert code == 1
+    assert f"{hyp}:2: rows need string 'id' and 'text'" in err
+
+
 # --- evaluate -----------------------------------------------------------------
 
 DIR_ROWS = [
@@ -380,6 +461,25 @@ def test_evaluate_direction_filter(dirscores, tmp_path, capsys):
         ["evaluate", "--direction-scores", dirscores, "--direction", "eng-fra",
          "--workspace", tmp_path / "ws"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [["evaluate"], ["report", "resource"],
+                                     ["report", "directions"]], ids=" ".join)
+@pytest.mark.parametrize("content", [
+    {"direction_rows": DIR_ROWS},
+    [{"direction": ["eng", "khm"], "comet": 86.23}],
+    [1],
+    [{"direction": ["eng"], "spbleu": 25.04, "comet": 86.23}],
+    [{"direction": "eng-khm", "spbleu": 25.04, "comet": 86.23}],
+], ids=["object-without-rows", "row-without-spbleu", "row-not-an-object",
+        "direction-not-a-pair", "direction-a-string"])
+def test_malformed_direction_scores_is_usage_error(tmp_path, capsys, command, content):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    code, err = run_cli_err(
+        command + ["--direction-scores", path, "--workspace", tmp_path / "ws"], capsys)
+    assert code == 2
+    assert err.startswith(f"error: malformed direction scores in {path}: ")
 
 
 def test_evaluate_by_resource_order(dirscores, tmp_path, capsys):
