@@ -1,11 +1,11 @@
 """Content-addressed response cache in one sqlite3 file.
 
 Layout: <root>/responses.db, one WITHOUT ROWID table keyed by
-(endpoint, namespace, key), where key is the SHA-256 of the canonical
-request payload and response is the JSON text of the answer. The namespace
-isolates responses produced by different model versions, so a post-update
-run never reads answers the previous weights gave, while byte-identical
-requests within one version always hit.
+(endpoint, namespace, key), where key is payload_hash(payload), the
+SHA-256 of the canonical request payload, and response is the JSON text of
+the answer. The namespace isolates responses produced by different model
+versions, so a post-update run never reads answers the previous weights
+gave, while byte-identical requests within one version always hit.
 
 The store runs in WAL mode with synchronous=NORMAL and commits every put
 on its own, so a killed process keeps every entry it put before, and
@@ -100,8 +100,8 @@ class ContentCache:
                 self._close_db()
                 self._db = None
 
-    def get(self, endpoint: str, namespace: str, payload: dict) -> dict | None:
-        key = payload_hash(payload)
+    def get(self, endpoint: str, namespace: str, key: str) -> dict | None:
+        """The response stored under key (a payload_hash), or None."""
         with self._lock:
             row = self._connect().execute(
                 "SELECT response FROM responses"
@@ -113,8 +113,8 @@ class ContentCache:
         self.stats.hit()
         return json.loads(row[0])
 
-    def put(self, endpoint: str, namespace: str, payload: dict, response: dict) -> None:
-        key = payload_hash(payload)
+    def put(self, endpoint: str, namespace: str, key: str, response: dict) -> None:
+        """Store response under key (a payload_hash)."""
         data = json.dumps(response, ensure_ascii=False, sort_keys=True)
         with self._lock:
             self._connect().execute(

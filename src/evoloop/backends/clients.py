@@ -23,7 +23,7 @@ from ..errors import (
     SynthesisRejected,
 )
 from .batch import with_retry
-from .cache import ContentCache
+from .cache import ContentCache, payload_hash
 
 BEAM = 1
 TEMPERATURE = 0.0
@@ -74,7 +74,8 @@ class _CachedClient:
 
     def _call(self, method: Callable[[dict], dict], payload: dict) -> dict:
         ns = self.namespace()
-        cached = self._cache.get(self._endpoint, ns, payload)
+        key = payload_hash(payload)  # hashed once for both the get and a miss's put
+        cached = self._cache.get(self._endpoint, ns, key)
         if cached is not None:
             return cached
         response, _ = with_retry(
@@ -84,7 +85,7 @@ class _CachedClient:
             backoff_base_ms=self._config.backoff_base_ms,
             sleep=self._sleep,
         )
-        self._cache.put(self._endpoint, ns, payload, response)
+        self._cache.put(self._endpoint, ns, key, response)
         return response
 
 

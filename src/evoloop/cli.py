@@ -63,7 +63,7 @@ from .metrics.aggregate import (
     average_directions,
     round1,
 )
-from .metrics.bleu import corpus_spbleu
+from .metrics.bleu import SMOOTHINGS, corpus_spbleu
 from .metrics.spm import load_piece_table
 from .mockstack import DEFAULT_VOICE_POOL, build_mock_stack, wire_stack
 
@@ -102,7 +102,10 @@ _CONFIG_KEYS = {
     "evolution": set(EvolutionConfig().to_json()),
     "metrics": {"smoothing", "piece_table_path"},
 }
-_SCALAR_KEYS = {"workspace": str, "update_hook": str, "token": str, "strict_manifests": bool}
+_SCALAR_KEYS = {
+    "top-level": {"workspace": str, "update_hook": str, "token": str, "strict_manifests": bool},
+    "metrics": {"piece_table_path": str},
+}
 
 
 def _config_section(obj, where: str) -> dict:
@@ -112,6 +115,11 @@ def _config_section(obj, where: str) -> dict:
     unknown = set(obj) - _CONFIG_KEYS[where]
     if unknown:
         raise UsageError(f"unknown {where} config keys: {sorted(unknown)}")
+    prefix = "" if where == "top-level" else f"{where}."
+    for key, kind in _SCALAR_KEYS.get(where, {}).items():
+        if key in obj and not isinstance(obj[key], kind):
+            name = "boolean" if kind is bool else "string"
+            raise UsageError(f"{prefix}{key} config must be a JSON {name}")
     return obj
 
 
@@ -126,10 +134,6 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
         raw = _config_section(raw, "top-level")
-        for key, kind in _SCALAR_KEYS.items():
-            if key in raw and not isinstance(raw[key], kind):
-                name = "boolean" if kind is bool else "string"
-                raise UsageError(f"{key} config must be a JSON {name}")
         voices = raw.get("voices", list(cfg.voices))
         if not isinstance(voices, list) or not all(isinstance(v, str) for v in voices):
             raise UsageError("voices config must be a JSON list of strings")
@@ -139,6 +143,8 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
                 for name, spec in _config_section(raw.get("endpoints", {}), "endpoints").items()
             }
             metrics = _config_section(raw.get("metrics", {}), "metrics")
+            if metrics.get("smoothing", cfg.smoothing) not in SMOOTHINGS:
+                raise UsageError(f"metrics.smoothing config must be one of {list(SMOOTHINGS)}")
             evolution = _config_section(raw.get("evolution", {}), "evolution")
             cfg = RunConfig(
                 workspace=raw.get("workspace", cfg.workspace),

@@ -10,7 +10,9 @@ a piece table as the tokenizer this yields spBLEU.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 from ..errors import EmptyCorpus, LengthMismatch
@@ -18,6 +20,7 @@ from .spm import PieceTable, sp_segment
 from .tokenizer import tokenize_13a
 
 MAX_ORDER = 4
+SMOOTHINGS = ("exp", "none")
 
 # log floor returned for zero precisions; drives exp() to underflow, so a
 # zero anywhere in the geometric mean zeroes the score rather than crashing
@@ -54,37 +57,28 @@ def _resolve_tokenizer(tokenizer) -> Callable[[str], list[str]]:
     raise ValueError(f"unsupported tokenizer: {tokenizer!r}")
 
 
+def _ngrams(tokens, max_order):
+    """Every n-gram of orders 1..max_order as a tuple, shortest orders first."""
+    return chain.from_iterable(
+        zip(*[tokens[i:] for i in range(n)]) for n in range(1, max_order + 1))
+
+
 def ngram_stats(hyp_tokens, ref_tokens, max_order):
     """Clipped n-gram statistics for one sentence pair.
 
     Returns (correct, total), each a list of length max_order where slot
     n-1 holds the clipped match count / hypothesis n-gram count for order n.
+    Each side's n-grams of every order are counted in one Counter pass; an
+    n-gram's order is the length of its tuple.
     """
     h_len = len(hyp_tokens)
-    r_len = len(ref_tokens)
     correct = [0] * max_order
-    total = [0] * max_order
-    for n in range(1, max_order + 1):
-        h_count = h_len - n + 1
-        if h_count <= 0:
-            break
-        total[n - 1] = h_count
-        ref_counts = {}
-        for i in range(r_len - n + 1):
-            key = tuple(ref_tokens[i:i + n])
-            ref_counts[key] = ref_counts.get(key, 0) + 1
-        if not ref_counts:
-            continue
-        hyp_counts = {}
-        for i in range(h_count):
-            key = tuple(hyp_tokens[i:i + n])
-            hyp_counts[key] = hyp_counts.get(key, 0) + 1
-        c = 0
-        for key, count in hyp_counts.items():
-            r = ref_counts.get(key, 0)
-            if r:
-                c += count if count < r else r
-        correct[n - 1] = c
+    total = [max(h_len - n + 1, 0) for n in range(1, max_order + 1)]
+    ref_counts = Counter(_ngrams(ref_tokens, max_order))
+    for key, count in Counter(_ngrams(hyp_tokens, max_order)).items():
+        r = ref_counts.get(key)
+        if r:
+            correct[len(key) - 1] += count if count < r else r
     return correct, total
 
 
@@ -102,7 +96,7 @@ def compute_bleu(
     smoothing: str = "exp",
 ) -> BleuResult:
     """Score from sufficient statistics; exposed for re-aggregation."""
-    if smoothing not in ("exp", "none"):
+    if smoothing not in SMOOTHINGS:
         raise ValueError(f"unsupported smoothing: {smoothing!r}")
     precisions = [0.0] * MAX_ORDER
     smooth_scale = 1.0

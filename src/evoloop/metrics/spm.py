@@ -16,7 +16,10 @@ codepoint), every segmentation breaks before each marker, so each word,
 from its marker up to the next, is decoded on its own and the text's
 segmentation is the concatenation of the words' segmentations.
 Callers scoring many strings can pass one memo, so each distinct word is
-decoded once.
+decoded once. sp_segment and sp_segment_spans keep different memos:
+sp_segment's maps a word to its finished piece list, so a repeated word
+costs one lookup; sp_segment_spans' maps a decoded string to its spans and
+score. Do not pass one dict to both.
 """
 
 from __future__ import annotations
@@ -55,10 +58,7 @@ class PieceTable:
     ):
         if not pieces:
             raise PieceTableError("piece table is empty")
-        clean: dict[str, float] = {}
-        for piece, logprob in pieces.items():
-            _check_piece(piece, logprob)
-            clean[piece] = float(logprob)
+        clean = {piece: _check_piece(piece, logprob) for piece, logprob in pieces.items()}
         if unk_logprob is None:
             unk_logprob = min(clean.values()) - 10.0
         if not math.isfinite(unk_logprob) or unk_logprob > 0.0:
@@ -77,7 +77,8 @@ class PieceTable:
         return piece in self.pieces
 
 
-def _check_piece(piece: str, logprob: float) -> None:
+def _check_piece(piece: str, logprob: float) -> float:
+    """The piece's logprob as a float; raises PieceTableError if either is invalid."""
     if not isinstance(piece, str) or not piece:
         raise PieceTableError(f"invalid piece {piece!r}")
     if " " in piece or "\t" in piece or "\n" in piece:
@@ -90,6 +91,7 @@ def _check_piece(piece: str, logprob: float) -> None:
         raise PieceTableError(f"piece {piece!r}: logprob {logprob!r} is not a number") from None
     if not math.isfinite(value) or value > 0.0:
         raise PieceTableError(f"piece {piece!r}: logprob must be finite and <= 0, got {value}")
+    return value
 
 
 def load_piece_table(path: str | Path) -> PieceTable:
@@ -128,8 +130,7 @@ def load_piece_table(path: str | Path) -> PieceTable:
                 continue
             if piece in pieces:
                 raise PieceTableError(f"{path}:{line_no}: duplicate piece {piece!r}")
-            _check_piece(piece, score)
-            pieces[piece] = score
+            pieces[piece] = _check_piece(piece, score)
     if not pieces:
         raise PieceTableError(f"{path}: no usable pieces")
     return PieceTable(pieces, unk_logprob=unk_logprob)
@@ -202,6 +203,7 @@ def sp_segment_spans(
     scores taken left to right. Any other table decodes the whole string at
     once. memo maps a decoded string to its (spans, score); pass the same
     dict across calls with one table to decode each distinct word once.
+    This memo is not sp_segment's, whose values are piece lists.
     """
     norm = normalize_for_pieces(text)
     if table.word_local:
@@ -231,10 +233,30 @@ def sp_segment(text: str, table: PieceTable, memo: dict | None = None) -> list[s
 
     Unknown codepoints appear as table.unk_piece. Concatenating the output,
     with each unk occurrence replaced by the codepoint it consumed, rebuilds
-    the marker-normalized input exactly. memo is passed to sp_segment_spans.
+    the marker-normalized input exactly. The pieces equal those of
+    sp_segment_spans: a word-local table decodes word by word, any other
+    table decodes the whole string at once.
+
+    memo maps a word (a decoded chunk without its leading marker; the whole
+    text for a table that is not word-local) to its piece list; pass the
+    same dict across calls with one table so a repeated word costs one
+    lookup. This memo is not sp_segment_spans', whose values are spans.
     """
-    norm, spans, _ = sp_segment_spans(text, table, memo)
-    return [table.unk_piece if is_unk else norm[a:b] for a, b, is_unk in spans]
+    marked = text.replace(" ", SPACE_MARKER)
+    words = marked.split(SPACE_MARKER) if table.word_local else (marked,)
+    if memo is None:
+        memo = {}
+    out: list[str] = []
+    for word in words:
+        pieces = memo.get(word)
+        if pieces is None:
+            chunk = SPACE_MARKER + word
+            spans, _ = viterbi_decode(chunk, table.pieces, table.max_piece_len,
+                                      table.unk_logprob)
+            pieces = memo[word] = [table.unk_piece if is_unk else chunk[a:b]
+                                   for a, b, is_unk in spans]
+        out += pieces
+    return out
 
 
 def make_table(entries: Iterable[tuple[str, float]], **kwargs) -> PieceTable:

@@ -95,10 +95,10 @@ def stored_texts(root) -> dict:
 
 KILLED_WRITER = """
 import os, signal, sys
-from evoloop.backends.cache import ContentCache
+from evoloop.backends.cache import ContentCache, payload_hash
 cache = ContentCache(sys.argv[1])
 for i in range(int(sys.argv[2])):
-    cache.put("translate", "v0", {"i": i}, {"text": f"ជំរាបសួរ {i}", "n": i})
+    cache.put("translate", "v0", payload_hash({"i": i}), {"text": f"ជំរាបសួរ {i}", "n": i})
 os.kill(os.getpid(), signal.SIGKILL)
 """
 
@@ -111,26 +111,26 @@ def cache(tmp_path):
 class TestContentCache:
     def test_roundtrip(self, cache):
         payload = {"text": "hi", "voice_id": "v1"}
-        assert cache.get("tts", "v0", payload) is None
-        cache.put("tts", "v0", payload, {"uri": "a.wav"})
-        assert cache.get("tts", "v0", payload) == {"uri": "a.wav"}
+        assert cache.get("tts", "v0", payload_hash(payload)) is None
+        cache.put("tts", "v0", payload_hash(payload), {"uri": "a.wav"})
+        assert cache.get("tts", "v0", payload_hash(payload)) == {"uri": "a.wav"}
         assert cache.stats.snapshot() == {"hits": 1, "misses": 1, "writes": 1}
 
     def test_key_order_does_not_matter(self, cache):
-        cache.put("x", "v0", {"a": 1, "b": 2}, {"r": 1})
-        assert cache.get("x", "v0", {"b": 2, "a": 1}) == {"r": 1}
+        cache.put("x", "v0", payload_hash({"a": 1, "b": 2}), {"r": 1})
+        assert cache.get("x", "v0", payload_hash({"b": 2, "a": 1})) == {"r": 1}
 
     def test_namespaces_are_isolated(self, cache):
         payload = {"mode": "mt", "text": "t"}
-        cache.put("translate", "v0", payload, {"text": "old"})
-        assert cache.get("translate", "v1", payload) is None
-        cache.put("translate", "v1", payload, {"text": "new"})
-        assert cache.get("translate", "v0", payload) == {"text": "old"}
-        assert cache.get("translate", "v1", payload) == {"text": "new"}
+        cache.put("translate", "v0", payload_hash(payload), {"text": "old"})
+        assert cache.get("translate", "v1", payload_hash(payload)) is None
+        cache.put("translate", "v1", payload_hash(payload), {"text": "new"})
+        assert cache.get("translate", "v0", payload_hash(payload)) == {"text": "old"}
+        assert cache.get("translate", "v1", payload_hash(payload)) == {"text": "new"}
 
     def test_no_leftover_temp_files(self, cache, tmp_path):
         for i in range(20):
-            cache.put("e", "v0", {"i": i}, {"ok": i})
+            cache.put("e", "v0", payload_hash({"i": i}), {"ok": i})
         leftovers = list((tmp_path / "cache").rglob("*.tmp"))
         assert leftovers == []
 
@@ -139,20 +139,20 @@ class TestContentCache:
         for endpoint in ("tts", "translate", "score"):
             for ns in ("v0", "v1"):
                 for i in range(20):
-                    cache.put(endpoint, ns, {"i": i}, {"ok": [endpoint, ns, i]})
+                    cache.put(endpoint, ns, payload_hash({"i": i}), {"ok": [endpoint, ns, i]})
         cache.close()
         assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.db"]
         reopened = ContentCache(tmp_path / "cache")
         for endpoint in ("tts", "translate", "score"):
             for ns in ("v0", "v1"):
                 for i in range(20):
-                    assert reopened.get(endpoint, ns, {"i": i}) == {"ok": [endpoint, ns, i]}
+                    assert reopened.get(endpoint, ns, payload_hash({"i": i})) == {"ok": [endpoint, ns, i]}
         reopened.close()
 
     def test_dropped_without_close_leaves_only_the_store(self, tmp_path):
         cache = ContentCache(tmp_path / "cache")
-        cache.put("score", "v0", {"i": 1}, {"score": 0.5})
-        assert cache.get("score", "v0", {"i": 1}) == {"score": 0.5}
+        cache.put("score", "v0", payload_hash({"i": 1}), {"score": 0.5})
+        assert cache.get("score", "v0", payload_hash({"i": 1})) == {"score": 0.5}
         del cache  # no close(), no garbage collection
         assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.db"]
 
@@ -165,7 +165,7 @@ class TestContentCache:
         assert done.returncode == -signal.SIGKILL, done.stderr
         cache = ContentCache(tmp_path / "cache")
         for i in range(k):
-            assert cache.get("translate", "v0", {"i": i}) == {"text": f"ជំរាបសួរ {i}", "n": i}
+            assert cache.get("translate", "v0", payload_hash({"i": i})) == {"text": f"ជំរាបសួរ {i}", "n": i}
         cache.close()
         want = {
             ("translate", "v0", payload_hash({"i": i})):
@@ -184,9 +184,9 @@ class TestContentCache:
             try:
                 for i in range(200):
                     key = (i + 25 * t) % 100  # each thread writes every key twice
-                    cache.put("score", "v0", {"k": key}, response(key))
+                    cache.put("score", "v0", payload_hash({"k": key}), response(key))
                     other = (key * 7) % 100
-                    got = cache.get("score", "v0", {"k": other})
+                    got = cache.get("score", "v0", payload_hash({"k": other}))
                     if got is not None and got != response(other):
                         errors.append(got)
             except Exception as exc:  # noqa: BLE001 - reported by the assert below
@@ -205,7 +205,7 @@ class TestContentCache:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         for key in range(100):
-            assert cache.get("score", "v0", {"k": key}) == response(key)
+            assert cache.get("score", "v0", payload_hash({"k": key})) == response(key)
         assert cache.stats.snapshot()["writes"] == 8 * 200
 
     def test_entry_in_the_file_layout_is_not_read(self, tmp_path):
@@ -214,7 +214,7 @@ class TestContentCache:
         old.parent.mkdir(parents=True)
         old.write_text(json.dumps({"uri": "old.wav"}), encoding="utf-8")
         cache = ContentCache(tmp_path / "cache")
-        assert cache.get("tts", "v0", payload) is None
+        assert cache.get("tts", "v0", payload_hash(payload)) is None
         cache.close()
 
 
@@ -331,6 +331,22 @@ class TestTranslateClient:
         for _ in range(3):
             client.translate("mt", "same input", None, ("eng", "deu"))
         assert backend.calls.count == 1
+
+    def test_cold_call_stores_under_payload_hash(self, tmp_path):
+        backend = EchoTranslator()
+        sent = []
+        translate = backend.translate
+        backend.translate = lambda payload: sent.append(dict(payload)) or translate(payload)
+        cache = ContentCache(tmp_path / "cache")
+        client = TranslateClient(backend, cache, sleep=no_sleep)
+        client.translate("mt", "once", None, ("eng", "deu"))
+        cache.close()
+        assert len(sent) == 1
+        assert stored_texts(tmp_path / "cache") == {
+            ("translate", "v0", payload_hash(sent[0])): json.dumps({"text": "once"})}
+        fresh = ContentCache(tmp_path / "cache")
+        assert fresh.get("translate", "v0", payload_hash(sent[0])) == {"text": "once"}
+        fresh.close()
 
     def test_version_namespace_separates_cache_entries(self, cache):
         backend = EchoTranslator()

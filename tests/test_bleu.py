@@ -7,6 +7,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evoloop.errors import EmptyCorpus, LengthMismatch
 from evoloop.metrics import corpus_bleu, tokenize_13a
@@ -171,6 +173,45 @@ class TestNgramStats:
     ])
     def test_empty_and_single_token_inputs(self, hyp, ref, want):
         assert ngram_stats(hyp, ref, 4) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from("abc"), max_size=12),
+           st.lists(st.sampled_from("abc"), max_size=12),
+           st.integers(1, 6))
+    def test_equals_slice_based_oracle(self, hyp, ref, max_order):
+        # a three-letter alphabet repeats tokens and n-grams; either side may
+        # be empty or shorter than the order
+        assert ngram_stats(hyp, ref, max_order) == oracle_ngram_stats(hyp, ref, max_order)
+
+
+def oracle_ngram_stats(hyp_tokens, ref_tokens, max_order):
+    """Reference: one pass per order, each n-gram built by slicing."""
+    h_len = len(hyp_tokens)
+    r_len = len(ref_tokens)
+    correct = [0] * max_order
+    total = [0] * max_order
+    for n in range(1, max_order + 1):
+        h_count = h_len - n + 1
+        if h_count <= 0:
+            break
+        total[n - 1] = h_count
+        ref_counts = {}
+        for i in range(r_len - n + 1):
+            key = tuple(ref_tokens[i:i + n])
+            ref_counts[key] = ref_counts.get(key, 0) + 1
+        if not ref_counts:
+            continue
+        hyp_counts = {}
+        for i in range(h_count):
+            key = tuple(hyp_tokens[i:i + n])
+            hyp_counts[key] = hyp_counts.get(key, 0) + 1
+        c = 0
+        for key, count in hyp_counts.items():
+            r = ref_counts.get(key, 0)
+            if r:
+                c += count if count < r else r
+        correct[n - 1] = c
+    return correct, total
 
 
 class TestErrors:

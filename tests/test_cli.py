@@ -265,7 +265,7 @@ def test_accepted_config_keys_take_effect(tmp_path):
     conf.write_text(json.dumps({
         "workspace": "ws", "strict_manifests": True, "update_hook": "true {jobspec}",
         "voices": ["v1"], "token": "t", "endpoints": {"tts": {"base_url": "http://x"}},
-        "metrics": {"smoothing": "floor", "piece_table_path": "p.tsv"},
+        "metrics": {"smoothing": "none", "piece_table_path": "p.tsv"},
         "evolution": {"epsilon": 0.01, "patience": 2, "max_rounds": 3, "seed": 7,
                       "speech_source": "PreferAuthentic", "fixed_eval_voice": "v1"},
     }))
@@ -274,7 +274,7 @@ def test_accepted_config_keys_take_effect(tmp_path):
         "ws", True, ("v1",), "t")
     assert cfg.update_hook == "true {jobspec}"
     assert cfg.endpoints["tts"].base_url == "http://x"
-    assert (cfg.smoothing, cfg.piece_table_path) == ("floor", "p.tsv")
+    assert (cfg.smoothing, cfg.piece_table_path) == ("none", "p.tsv")
     assert cfg.evolution.to_json() == {
         "epsilon": 0.01, "patience": 2, "max_rounds": 3, "seed": 7,
         "speech_source": "PreferAuthentic", "fixed_eval_voice": "v1"}
@@ -566,6 +566,37 @@ def test_evaluate_requires_piece_table(corpus_dir, capsys):
          "--workspace", ws, "--mock"], capsys)
     assert code == 2
     assert "piece_table_path" in err
+
+
+@pytest.mark.parametrize("metrics, message", [
+    ({"smoothing": "bogus"}, "metrics.smoothing config must be one of ['exp', 'none']"),
+    ({"smoothing": None}, "metrics.smoothing config must be one of ['exp', 'none']"),
+    ({"piece_table_path": 5}, "metrics.piece_table_path config must be a JSON string"),
+    ({"piece_table_path": ["p.tsv"]}, "metrics.piece_table_path config must be a JSON string"),
+])
+def test_bad_metrics_config_is_refused_before_any_input_is_read(
+        corpus_dir, capsys, monkeypatch, metrics, message):
+    ws = corpus_dir / "ws"
+    rows = [{"id": hash_sample(r["text"], r["reference"], "eng", "khm"),
+             "text": r["reference"]} for r in make_rows(6)]
+    hyp = write_manifest(ws / "hyp.jsonl", rows)
+    conf = corpus_dir / "conf.json"
+    conf.write_text(json.dumps({"metrics": {"piece_table_path": "p.tsv", **metrics}}))
+    opened = []
+    real_open = open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    code, err = run_cli_err(
+        ["evaluate", corpus_dir / "train.jsonl", "--hyp", hyp,
+         "--workspace", ws, "--mock", "--config", conf], capsys)
+    assert code == 2
+    assert message in err
+    # only the config file was opened: no manifest, no hypotheses, no piece table
+    assert opened == [str(conf)]
 
 
 # --- loop -----------------------------------------------------------------------

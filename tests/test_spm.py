@@ -73,6 +73,13 @@ DECIMAL = st.integers(1, 3).flatmap(
 WORDS = st.lists(st.text("abc", max_size=3), min_size=1, max_size=4).map(" ".join)
 
 
+def inner_marker_tables(logprobs):
+    """PieceTables that are not word-local: some piece holds an inner marker."""
+    piece = st.text("ab" + M, min_size=1, max_size=3)
+    return st.dictionaries(piece, logprobs, min_size=1, max_size=10).filter(
+        lambda pieces: any(M in p[1:] for p in pieces)).map(PieceTable)
+
+
 def spans_score(norm, spans, table):
     return sum(table.unk_logprob if is_unk else table.pieces[norm[a:b]]
                for a, b, is_unk in spans)
@@ -116,6 +123,14 @@ class TestPieceTable:
     def test_duplicate_in_make_table(self):
         with pytest.raises(PieceTableError):
             make_table([("a", -1.0), ("a", -2.0)])
+
+    def test_loaded_table_equals_constructed_table(self, tmp_path):
+        p = tmp_path / "v.tsv"
+        p.write_text(f"<unk>\t0\n{M}ab\t-1.5\na\t-2\nb\t-3.25\n", encoding="utf-8")
+        loaded = load_piece_table(p)
+        built = PieceTable({f"{M}ab": -1.5, "a": -2.0, "b": -3.25})
+        for attr in PieceTable.__slots__:
+            assert getattr(loaded, attr) == getattr(built, attr)
 
 
 class TestTsvLoading:
@@ -283,3 +298,35 @@ class TestWordChunkedDecode:
         memo = {}
         for text in texts:
             assert sp_segment_spans(text, table, memo) == sp_segment_spans(text, table)
+
+
+def pieces_from_spans(text, table):
+    norm, spans, _ = sp_segment_spans(text, table)
+    return [table.unk_piece if is_unk else norm[a:b] for a, b, is_unk in spans]
+
+
+# spaces, markers already in the text, and a codepoint no table holds
+TEXTS = st.lists(st.text("abc " + M, max_size=8), min_size=1, max_size=6)
+
+
+class TestSegmentWordMemo:
+    def check(self, table, texts):
+        memo = {}
+        for text in texts:
+            got = sp_segment(text, table, memo)
+            assert got == pieces_from_spans(text, table)
+            got.append("x")  # the caller's list is its own, not the memo's
+        for text in texts:
+            assert sp_segment(text, table, memo) == pieces_from_spans(text, table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(word_local_tables(DECIMAL), TEXTS)
+    def test_shared_memo_equals_spans_on_word_local_tables(self, table, texts):
+        assert table.word_local
+        self.check(table, texts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(inner_marker_tables(DECIMAL), TEXTS)
+    def test_shared_memo_equals_spans_on_other_tables(self, table, texts):
+        assert not table.word_local
+        self.check(table, texts)
