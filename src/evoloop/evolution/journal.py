@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
 from ..atomic import write_atomic
 from ..errors import ResumeStateCorrupt
 
-__all__ = ["Journal", "PHASE_FILES", "PHASES", "write_json"]
+__all__ = ["Journal", "PHASE_FILES", "PHASES", "round_file", "write_json"]
 
 LEDGER_NAME = "journal.json"
 # 2: acquisition journaled once, under round 1
@@ -44,6 +43,15 @@ PHASE_FILES: Dict[str, tuple] = {
     UPDATE: ("positives.jsonl", "negatives.jsonl", "jobspec.json"),
     EVALUATION: ("state.json",),
 }
+
+
+def round_file(round_index: int, name: str) -> str:
+    """Workspace-relative path of a round's file, as the ledger records it."""
+    return f"{ROUNDS_DIR}/{round_index}/{name}"
+
+
+def _phase_files(round_index: int, phase: str) -> List[str]:
+    return [round_file(round_index, name) for name in PHASE_FILES[phase]]
 
 
 def _sha256_file(path: Path) -> str:
@@ -112,13 +120,6 @@ class Journal:
     def round_dir(self, round_index: int) -> Path:
         return self.workspace / ROUNDS_DIR / str(round_index)
 
-    def phase_paths(self, round_index: int, phase: str) -> List[Path]:
-        rdir = self.round_dir(round_index)
-        return [rdir / name for name in PHASE_FILES[phase]]
-
-    def rel(self, path: Path) -> str:
-        return os.path.relpath(path, self.workspace).replace(os.sep, "/")
-
     # --- baseline and version -------------------------------------------
 
     def has_baseline(self) -> bool:
@@ -141,8 +142,7 @@ class Journal:
         if entry is None:
             return False
         files = entry.get("files", {})
-        expected = {self.rel(p) for p in self.phase_paths(round_index, phase)}
-        if set(files) != expected:
+        if set(files) != set(_phase_files(round_index, phase)):
             raise ResumeStateCorrupt(
                 f"round {round_index} {phase}: ledger file set does not match layout"
             )
@@ -169,10 +169,11 @@ class Journal:
         if phase not in PHASE_FILES:
             raise ValueError(f"unknown phase: {phase}")
         files = {}
-        for path in self.phase_paths(round_index, phase):
+        for rel_path in _phase_files(round_index, phase):
+            path = self.workspace / rel_path
             if not path.is_file():
                 raise FileNotFoundError(f"phase output not written: {path}")
-            files[self.rel(path)] = _sha256_file(path)
+            files[rel_path] = _sha256_file(path)
         entry: dict = {"files": files}
         if trained is not None:
             entry["trained"] = bool(trained)

@@ -5,10 +5,17 @@ journaled (file present, digest matching the ledger) is loaded instead
 of re-executed, so a killed run finishes without re-invoking backends
 for completed work; an interrupted phase re-runs through the content
 cache and converges to the same bytes.
+
+A resume checks every journaled file's digest at its step, but parses a
+phase's rows only when a later fresh step uses them: the acquisition
+manifest when some round refines afresh, a round's scored rows when its
+update or evaluation runs afresh. Each round's `state.json` is always
+read, because the history and the convergence check need it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import shlex
@@ -88,7 +95,7 @@ def run_update_hook(hook, jobspec_path: str) -> None:
 
 def _report(on_phase, round_index: int, phase: str, source: str) -> None:
     if source == "journal":
-        log.info("round %d %s: replayed from journal (100%% cache hits)", round_index, phase)
+        log.info("round %d %s: loaded from journal", round_index, phase)
     else:
         log.info("round %d %s: executed", round_index, phase)
     if on_phase is not None:
@@ -138,19 +145,22 @@ def run_loop(
         version.set(jrnl.model_version())
 
     def step(round_index: int, phase: str, load, run):
-        """Load a journaled phase, or run it and journal its files.
+        """Check a journaled phase, or run it and journal its files.
 
-        `run` writes the phase's files and returns (value, trained);
-        `trained` is None except for the update phase.
+        Returns a function that gives the phase's value: a journaled
+        phase is parsed by `load` on the first call, so a value no fresh
+        step asks for is never parsed. `run` writes the phase's files and
+        returns (value, trained); `trained` is None except for the
+        update phase.
         """
         if jrnl.phase_done(round_index, phase):
-            value, source = load(), "journal"
+            get, source = functools.cache(load), "journal"
         else:
             value, trained = run()
             jrnl.record_phase(round_index, phase, trained=trained)
-            source = "fresh"
+            get, source = (lambda: value), "fresh"
         _report(on_phase, round_index, phase, source)
-        return value
+        return get
 
     def evaluate(by_direction: bool = False):
         return run_evaluation(
@@ -166,7 +176,8 @@ def run_loop(
         jrnl.set_baseline(baseline)
     _report(on_phase, 0, "baseline", source)
 
-    acq_path = jrnl.round_dir(1) / "acquisition.jsonl"
+    acq_rel = journal_mod.round_file(1, "acquisition.jsonl")
+    acq_path = jrnl.workspace / acq_rel
 
     def acquire():
         acquired = run_acquisition(
@@ -187,7 +198,7 @@ def run_loop(
 
         def refine():
             scored = run_refinement(
-                acquired, config, backends.translate, backends.score,
+                acquired(), config, backends.translate, backends.score,
                 max_in_flight=max_in_flight,
             )
             write_jsonl(scored_path, (s.to_row() for s in scored))
@@ -197,11 +208,9 @@ def run_loop(
             return [ScoredSample.from_row(s) for s in load_manifest(scored_path, strict=True)]
 
         scored = step(k, journal_mod.REFINEMENT, load_scored, refine)
-        n_positive = sum(1 for s in scored if s.label is Label.POSITIVE)
-        n_negative = len(scored) - n_positive
 
         def update():
-            part = partition_and_emit(scored, k, str(rdir), workspace=workspace)
+            part = partition_and_emit(scored(), k, str(rdir), workspace=workspace)
             trained = part.jobspec is not None
             if trained and update_hook is not None:
                 run_update_hook(update_hook, part.jobspec_path)
@@ -218,14 +227,17 @@ def run_loop(
             return RoundState.from_json(obj)
 
         def evaluate_round():
+            rows = scored()
+            n_positive = sum(1 for s in rows if s.label is Label.POSITIVE)
+            n_negative = len(rows) - n_positive
             eval_score, by_direction = evaluate(by_direction=True)
             best = max([baseline] + [r.eval_score for r in history])
             delta = eval_score - best
             state = RoundState(
                 round_index=k,
-                acquisition_manifest=jrnl.rel(acq_path),
-                positives_manifest=jrnl.rel(rdir / "positives.jsonl"),
-                negatives_manifest=jrnl.rel(rdir / "negatives.jsonl"),
+                acquisition_manifest=acq_rel,
+                positives_manifest=journal_mod.round_file(k, "positives.jsonl"),
+                negatives_manifest=journal_mod.round_file(k, "negatives.jsonl"),
                 n_positive=n_positive,
                 n_negative=n_negative,
                 eval_score=eval_score,
@@ -239,7 +251,7 @@ def run_loop(
             write_json(state_path, obj)
             return state, None
 
-        state = step(k, journal_mod.EVALUATION, load_state, evaluate_round)
+        state = step(k, journal_mod.EVALUATION, load_state, evaluate_round)()
         history.append(state)
         log.info(
             "round %d: n_pos=%d n_neg=%d eval=%.4f delta=%+.4f %s",

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,7 @@ from evoloop.evolution import (
     run_loop,
     run_refinement,
 )
+from evoloop.evolution import loop as loop_mod
 from evoloop.mockstack import build_mock_stack
 
 POOL = ["voice-a", "voice-b", "voice-c", "voice-d", "voice-e"]
@@ -656,6 +658,30 @@ class KillSwitch(Exception):
     pass
 
 
+def count_manifest_loads(monkeypatch, ws):
+    """Record, in order, the workspace-relative path of every manifest
+    run_loop parses."""
+    loaded = []
+
+    def counting(path, strict=False):
+        loaded.append(Path(path).relative_to(ws).as_posix())
+        return load_manifest(path, strict=strict)
+
+    monkeypatch.setattr(loop_mod, "load_manifest", counting)
+    return loaded
+
+
+# every file a finished loop_fixture run journals: acquisition once, then
+# the refinement, update and evaluation files of its four rounds
+JOURNALED_FILES = ["rounds/1/acquisition.jsonl"] + [
+    f"rounds/{k}/{name}"
+    for k in range(1, 5)
+    for name in (
+        "scored.jsonl", "positives.jsonl", "negatives.jsonl", "jobspec.json", "state.json",
+    )
+]
+
+
 class TestRunLoop:
     def test_single_round_cap(self, tmp_path):
         train, eval_samples, config, stack = loop_fixture(tmp_path / "ws")
@@ -741,7 +767,7 @@ class TestRunLoop:
             trees.append(tree)
         assert trees[0] == trees[1]
 
-    def test_kill_and_resume(self, tmp_path):
+    def test_kill_and_resume(self, tmp_path, monkeypatch):
         # twin A runs to completion; twin B is killed right after round 2
         # refinement commits, then resumed with a fresh stack.
         ws_a, ws_b = tmp_path / "a", tmp_path / "b"
@@ -767,6 +793,7 @@ class TestRunLoop:
         train_c, eval_c, config_c, stack_c = loop_fixture(ws_b)
         tts_backend = stack_c.tts_backend
         sources = {}
+        loaded = count_manifest_loads(monkeypatch, ws_b)
         history = run_loop(
             train_c, eval_c, POOL, config_c, stack_c.backends, str(ws_b),
             version=stack_c.version,
@@ -781,6 +808,9 @@ class TestRunLoop:
         assert sources[(2, "update")] == "fresh"
         assert sources[(2, "evaluation")] == "fresh"
         assert sources[(3, "refinement")] == "fresh"
+        # journaled rows are parsed only for the fresh steps that use them:
+        # round 2's update and evaluation, then round 3's refinement
+        assert loaded == ["rounds/2/scored.jsonl", "rounds/1/acquisition.jsonl"]
 
         # every synthesis request was already cached before the kill
         assert tts_backend.calls.count == 0
@@ -792,7 +822,7 @@ class TestRunLoop:
         }
         assert tree(ws_b) == tree(ws_a)
 
-    def test_resume_of_finished_run_replays_everything(self, tmp_path):
+    def test_resume_of_finished_run_replays_everything(self, tmp_path, monkeypatch):
         ws = tmp_path / "ws"
         train, eval_samples, config, stack = loop_fixture(ws)
         first = run_loop(
@@ -801,6 +831,7 @@ class TestRunLoop:
         )
         train2, eval2, config2, stack2 = loop_fixture(ws)
         sources = []
+        loaded = count_manifest_loads(monkeypatch, ws)
         second = run_loop(
             train2, eval2, POOL, config2, stack2.backends, str(ws),
             version=stack2.version,
@@ -808,25 +839,36 @@ class TestRunLoop:
         )
         assert second == first
         assert sources and all(source == "journal" for source in sources)
+        # no fresh step runs, so no journaled manifest is parsed
+        assert loaded == []
         assert stack2.version.value == 4
         assert stack2.tts_backend.calls.count == 0
         assert stack2.score_backend.calls.count == 0
 
-    def test_tampered_journal_is_corrupt(self, tmp_path):
+    @pytest.mark.parametrize("rel_path", JOURNALED_FILES)
+    def test_tampered_journal_is_corrupt(self, tmp_path, rel_path):
+        # the digest check runs at each step even when the rows are never parsed
         ws = tmp_path / "ws"
         train, eval_samples, config, stack = loop_fixture(ws)
         run_loop(
             train, eval_samples, POOL, config, stack.backends, str(ws),
             version=stack.version,
         )
-        target = ws / "rounds" / "1" / "acquisition.jsonl"
+        ledger = json.loads((ws / "journal.json").read_text())
+        assert sorted(
+            f for phases in ledger["rounds"].values()
+            for entry in phases.values() for f in entry["files"]
+        ) == sorted(JOURNALED_FILES)
+        target = ws / rel_path
         target.write_bytes(target.read_bytes() + b"\n")
         train2, eval2, config2, stack2 = loop_fixture(ws)
-        with pytest.raises(ResumeStateCorrupt):
+        with pytest.raises(ResumeStateCorrupt, match=re.escape(f"journaled file modified: {rel_path}")):
             run_loop(
                 train2, eval2, POOL, config2, stack2.backends, str(ws),
                 version=stack2.version,
             )
+        for backend in (stack2.tts_backend, stack2.translate_backend, stack2.score_backend):
+            assert backend.calls.count == 0
 
     def test_config_change_is_corrupt(self, tmp_path):
         ws = tmp_path / "ws"
