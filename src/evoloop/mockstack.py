@@ -28,7 +28,9 @@ DEFAULT_VOICE_POOL = ("voice-a", "voice-b", "voice-c", "voice-d", "voice-e")
 @dataclass
 class MockStack:
     """The cached clients, their version cell and cache, and the backends
-    behind them. Used as a context manager, it closes the cache on exit."""
+    behind them. Used as a context manager, it closes on exit each backend
+    that has a `close` (an HTTP transport's kept-alive connections) and the
+    cache."""
 
     backends: Backends
     version: ModelVersion
@@ -41,7 +43,12 @@ class MockStack:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.cache.close()
+        try:
+            for backend in (self.tts_backend, self.translate_backend, self.score_backend):
+                if hasattr(backend, "close"):
+                    backend.close()
+        finally:
+            self.cache.close()
 
 
 def wire_stack(

@@ -2,6 +2,7 @@
 
 import json
 import socket
+import socketserver
 import ssl
 import sys
 import threading
@@ -16,6 +17,8 @@ from evoloop.errors import (
     PermanentBackendError,
     TransientBackendError,
 )
+from evoloop.evolution import ModelVersion
+from evoloop.mockstack import wire_stack
 
 
 class KeepAliveHandler(BaseHTTPRequestHandler):
@@ -244,3 +247,171 @@ def test_https_url_speaks_tls(server, transports):
 def test_base_url_must_be_http(url):
     with pytest.raises(ValueError, match="http"):
         HttpTransport(url)
+
+
+def test_stack_exit_closes_transport_connections(server, transports, tmp_path):
+    transport = transports(base_url(server))
+    with wire_stack(str(tmp_path), ModelVersion(0), transport, transport, transport):
+        assert transport.score({"i": 0}) == {"echo": {"i": 0}}
+        assert not server.state["closed"].is_set()
+    assert server.state["closed"].wait(timeout=5)
+
+
+@pytest.mark.parametrize("url, token", [
+    ("http://127.0.0.1:8000/api\r\nX-Injected: 1", None),
+    ("http://127.0.0.1:8000/a b", None),
+    ("http://127.0.0.1:8000/api\x00", None),
+    ("http://127.0.0.1\n:8000/", None),
+    ("http://127.0.0.1\x01:8000/", None),
+    ("http://127.0.0.1:8000", "sesame\r\nX-Injected: 1"),
+    ("http://127.0.0.1:8000", "sesame\n"),
+    ("http://127.0.0.1:8000", "sesame\x7f"),
+], ids=["path-crlf", "path-space", "path-nul", "host-lf", "host-ctl",
+        "token-crlf", "token-lf", "token-del"])
+def test_header_injection_refused_at_construction(url, token):
+    with pytest.raises(ValueError):
+        HttpTransport(url, token=token)
+
+
+# --- framing, against canned raw replies ---------------------------------------
+
+OK = b'HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n{"ok": 1}'
+
+
+class RawReplyHandler(socketserver.StreamRequestHandler):
+    """Answers each request with the next queued (raw reply, close after it)
+    or OK; records each request line and its header fields in order, counts
+    connections and sets `closed` once the client ends one."""
+
+    def handle(self):
+        state = self.server.state
+        with state["lock"]:
+            state["connections"] += 1
+        try:
+            while line := self.rfile.readline():
+                fields = []
+                while (field := self.rfile.readline()) not in (b"\r\n", b""):
+                    name, _, value = field.decode("latin-1").partition(":")
+                    fields.append((name, value.strip()))
+                payload = json.loads(self.rfile.read(int(dict(fields)["Content-Length"])))
+                with state["lock"]:
+                    state["requests"].append(
+                        {"line": line, "fields": fields, "payload": payload})
+                    reply, close = state["replies"].pop(0) if state["replies"] else (OK, False)
+                self.wfile.write(reply)
+                if close:
+                    return
+        except ConnectionError:  # a client that closes with a reply unread resets
+            pass
+        state["closed"].set()
+
+
+class RawServer(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+
+
+class RawServer6(RawServer):
+    address_family = socket.AF_INET6
+
+
+@pytest.fixture
+def raw_server(request):
+    host = getattr(request, "param", "127.0.0.1")
+    try:
+        srv = (RawServer6 if ":" in host else RawServer)((host, 0), RawReplyHandler)
+    except OSError:
+        pytest.skip(f"cannot listen on {host}")
+    srv.state = {"requests": [], "replies": [], "connections": 0,
+                 "closed": threading.Event(), "lock": threading.Lock()}
+    thread = threading.Thread(
+        target=srv.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def raw_netloc(srv):
+    host, port = srv.server_address[:2]
+    return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+
+
+FIELDS_99 = b"".join(b"X-%d: 1\r\n" % i for i in range(99))
+
+
+@pytest.mark.parametrize("reply, close, reused", [
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 99\r\n\r\n"
+     b'5\r\n{"ok"\r\n4;x=y\r\n: 1}\r\n0\r\n\r\n', False, True),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+     b'9\r\n{"ok": 1}\r\n0\r\nX-Checksum: 1\r\n\r\n', False, True),
+    (b'HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 9\r\n\r\n{"ok": 1}',
+     False, False),
+    (b'HTTP/1.0 200 OK\r\nContent-Length: 9\r\n\r\n{"ok": 1}', False, False),
+    (b'HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 9\r\n\r\n{"ok": 1}',
+     False, True),
+    (b'HTTP/1.0 200 OK\r\n\r\n{"ok": 1}', True, False),
+    (b"HTTP/1.1 100 Continue\r\n\r\n" + OK, False, True),
+    (b"HTTP/1.1 200 OK\r\n" + FIELDS_99 + b'Content-Length: 9\r\n\r\n{"ok": 1}',
+     False, True),
+], ids=["chunked", "chunked-trailer", "connection-close", "http10", "http10-keep-alive",
+        "http10-close-delimited", "100-continue", "100-fields"])
+def test_reply_framing(raw_server, transports, reply, close, reused):
+    raw_server.state["replies"] = [(reply, close)]
+    transport = transports(f"http://{raw_netloc(raw_server)}")
+    assert transport.score({"i": 0}) == {"ok": 1}
+    assert transport.score({"i": 1}) == {"ok": 1}  # the first body was read exactly
+    assert [r["payload"] for r in raw_server.state["requests"]] == [{"i": 0}, {"i": 1}]
+    assert raw_server.state["connections"] == (1 if reused else 2)
+
+
+@pytest.mark.parametrize("status", [204, 304])
+def test_bodiless_status_returns_without_waiting_for_close(raw_server, transports, status):
+    raw_server.state["replies"] = [(b"HTTP/1.1 %d X\r\n\r\n" % status, False)]
+    transport = transports(f"http://{raw_netloc(raw_server)}")
+    # reading to close would end in the 5 s timeout, a transient error
+    with pytest.raises(PermanentBackendError) as exc:
+        transport.score({})
+    assert exc.value.status == status
+    assert transport.score({}) == {"ok": 1}
+    assert raw_server.state["connections"] == 1
+
+
+@pytest.mark.parametrize("reply, close", [
+    (b'SPDY/3 200 OK\r\nContent-Length: 9\r\n\r\n{"ok": 1}', False),
+    (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b'\r\nContent-Length: 9\r\n\r\n{"ok": 1}',
+     False),
+    (b"HTTP/1.1 200 OK\r\nX-0: 1\r\n" + FIELDS_99 + b'Content-Length: 9\r\n\r\n{"ok": 1}',
+     False),
+    (b'HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n{"ok"', True),
+], ids=["bad-status-line", "long-header-line", "101-fields", "truncated-body"])
+def test_malformed_reply_is_transient_and_not_resent(raw_server, transports, reply, close):
+    raw_server.state["replies"] = [(reply, close)]
+    transport = transports(f"http://{raw_netloc(raw_server)}")
+    with pytest.raises(TransientBackendError):
+        transport.score({"i": 0})
+    assert len(raw_server.state["requests"]) == 1
+    if not close:
+        assert raw_server.state["closed"].wait(timeout=5)
+    assert transport.score({"i": 1}) == {"ok": 1}  # on a new connection
+    assert raw_server.state["connections"] == 2
+
+
+@pytest.mark.parametrize("raw_server", ["127.0.0.1", "::1"], indirect=True)
+@pytest.mark.parametrize("token", [None, "sesame"])
+def test_request_line_and_header_fields(raw_server, transports, token):
+    netloc = raw_netloc(raw_server)
+    transport = transports(f"http://{netloc}/api", token=token)
+    transport.score({"i": 0})
+    request, = raw_server.state["requests"]
+    assert request["line"] == b"POST /api/v1/score HTTP/1.1\r\n"
+    expected = [("Host", netloc), ("Accept-Encoding", "identity"),
+                ("Content-Type", "application/json"),
+                ("Content-Length", str(len(b'{"i": 0}')))]
+    if token:
+        expected.append(("Authorization", f"Bearer {token}"))
+    assert sorted(request["fields"]) == sorted(expected)
