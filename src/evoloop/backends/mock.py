@@ -8,7 +8,6 @@ which is what makes whole-pipeline runs reproducible byte for byte.
 Documented behaviors relied on by fixtures:
 - MockTts duration: target_duration_s when the request carries one, else
   char_len(text)/15.0 seconds (a 15-chars-per-second speaking rate).
-- EchoTranslator returns the input text in both modes.
 - ContrastTranslator drops the final whitespace-separated token in MT mode
   and echoes in SMT mode (speech keeps the tail intact).
 - MockScorer is the harmonic F1 over whitespace token multisets of
@@ -98,17 +97,6 @@ class MockTts:
             "duration_s": duration_s,
             "sample_rate_hz": SAMPLE_RATE_HZ,
         }
-
-
-class EchoTranslator:
-    """Returns the source text unchanged in both modes."""
-
-    def __init__(self):
-        self.calls = CallCounter()
-
-    def translate(self, payload: dict) -> dict:
-        self.calls.bump()
-        return {"text": payload["text"]}
 
 
 class ContrastTranslator:

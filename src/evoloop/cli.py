@@ -7,7 +7,9 @@ command-line flags. Flags always win.
 Every subcommand shares one skeleton in `main`: load the config, make
 the workspace, run the command, write its JSON report, map exceptions to
 exit codes. A `cmd_*` function takes `(args, cfg, ws)` and returns
-`(exit_code, report_payload)`; it only does its own work.
+`(exit_code, report_payload)`; it only does its own work. The argument
+parser is built once per process, on the first `build_parser()` or
+`main()` call, and every later call reuses it.
 
 Exit codes are a stable contract: 0 success, 1 validation or domain
 failure, 2 I/O or configuration failure.
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
 import logging
 import os
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .atomic import write_jsonl
+from .atomic import write_atomic, write_jsonl
 from .backends.clients import EndpointConfig
 from .backends.mock import LookupTranslator
 from .backends.transport import HttpTransport
@@ -358,7 +362,7 @@ def _direction_rows(args: argparse.Namespace) -> List[DirectionScore]:
             )
             for obj in (raw["rows"] if isinstance(raw, dict) else raw)
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(
             f"malformed direction scores in {path}: {type(exc).__name__}: {exc}"
         ) from exc
@@ -645,12 +649,11 @@ def cmd_report_rounds(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Out
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
     if args.csv:
-        csv_path = Path(args.csv)
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(table_rows)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(table_rows)
+        write_atomic(args.csv, buf.getvalue().encode("utf-8"))
 
     return 0, {"command": "report-rounds", "baseline": baseline, "rounds": states}
 
@@ -678,7 +681,13 @@ def _add_global_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--report", help="write the JSON report to this path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `evoloop` argument parser, built on the first call.
+
+    Every later call returns the same parser, so callers parse with it
+    and never add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="evoloop",
         description="Self-evolution pipeline for speech-guided machine translation",

@@ -5,10 +5,9 @@ from .aggregate import (
     aggregate_by_resource,
     average_directions,
     round1,
-    under_translation_rate,
 )
 from .bleu import BleuResult, compute_bleu, corpus_bleu, corpus_spbleu
-from .spm import PieceTable, load_piece_table, make_table, sp_segment, sp_segment_spans
+from .spm import PieceTable, load_piece_table, sp_segment, sp_segment_spans
 from .tokenizer import normalize_13a, tokenize_13a
 
 __all__ = [
@@ -21,11 +20,9 @@ __all__ = [
     "corpus_bleu",
     "corpus_spbleu",
     "load_piece_table",
-    "make_table",
     "normalize_13a",
     "round1",
     "sp_segment",
     "sp_segment_spans",
     "tokenize_13a",
-    "under_translation_rate",
 ]

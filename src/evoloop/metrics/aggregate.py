@@ -6,15 +6,8 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Mapping, Sequence
 
-from ..corpus import SPACELESS_SCRIPTS, ResourceLevel, resource_level
+from ..corpus import ResourceLevel, resource_level
 from ..errors import EmptyInput
-from .tokenizer import tokenize_13a
-
-# target scripts with no inter-word spaces: 13a token counts are meaningless,
-# so length heuristics use Unicode scalar counts instead
-SPACELESS_TARGETS = SPACELESS_SCRIPTS
-
-DEFAULT_RATIO_THRESHOLD = 0.6
 
 
 @dataclass(frozen=True)
@@ -67,36 +60,3 @@ def aggregate_by_resource(
         level = taxonomy[tgt] if taxonomy is not None else resource_level(tgt)
         groups.setdefault(level, []).append(row)
     return {level: average_directions(members) for level, members in groups.items()}
-
-
-def _length_tokens(text: str, tgt_lang: str) -> int:
-    if tgt_lang in SPACELESS_TARGETS:
-        return len(text.strip())
-    return len(tokenize_13a(text))
-
-
-def under_translation_rate(
-    pairs: Sequence[tuple[str, str]],
-    tgt_lang: str,
-    ratio_threshold: float = DEFAULT_RATIO_THRESHOLD,
-) -> float:
-    """Fraction of (hypothesis, reference) pairs that look truncated.
-
-    A pair is flagged when the hypothesis-to-reference length ratio falls
-    below ratio_threshold. Lengths are 13a token counts, or scalar counts for
-    the fixed space-less target scripts. Pairs with an empty reference are
-    never flagged (there is nothing to under-translate). This is a heuristic
-    screen, not a claim about adequacy.
-    """
-    if not pairs:
-        raise EmptyInput("no hypothesis/reference pairs")
-    if not 0.0 < ratio_threshold < 1.0:
-        raise ValueError(f"ratio_threshold must be in (0,1), got {ratio_threshold}")
-    flagged = 0
-    for hyp, ref in pairs:
-        ref_len = _length_tokens(ref, tgt_lang)
-        if ref_len == 0:
-            continue
-        if _length_tokens(hyp, tgt_lang) / ref_len < ratio_threshold:
-            flagged += 1
-    return flagged / len(pairs)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..errors import PieceTableError
 
@@ -257,13 +257,3 @@ def sp_segment(text: str, table: PieceTable, memo: dict | None = None) -> list[s
                                    for a, b, is_unk in spans]
         out += pieces
     return out
-
-
-def make_table(entries: Iterable[tuple[str, float]], **kwargs) -> PieceTable:
-    """Convenience constructor from (piece, logprob) pairs; duplicates error."""
-    pieces: dict[str, float] = {}
-    for piece, logprob in entries:
-        if piece in pieces:
-            raise PieceTableError(f"duplicate piece {piece!r}")
-        pieces[piece] = logprob
-    return PieceTable(pieces, **kwargs)

@@ -1,4 +1,4 @@
-"""Score aggregation, report rounding, and the truncation screen."""
+"""Score aggregation and report rounding."""
 
 import random
 
@@ -11,8 +11,6 @@ from evoloop.metrics import (
     aggregate_by_resource,
     average_directions,
     round1,
-    tokenize_13a,
-    under_translation_rate,
 )
 
 
@@ -109,51 +107,3 @@ class TestAggregateByResource:
         rows = [row("eng", "deu", 10.0, 20.0)]
         got = aggregate_by_resource(rows, taxonomy={"deu": ResourceLevel.LOW})
         assert set(got) == {ResourceLevel.LOW}
-
-
-class TestUnderTranslationRate:
-    def test_identical_pairs_rate_zero(self):
-        pairs = [("the full sentence here", "the full sentence here")] * 4
-        assert under_translation_rate(pairs, "deu") == 0.0
-
-    def test_empty_hypotheses_rate_one(self):
-        pairs = [("", "a decent length reference sentence")] * 3
-        assert under_translation_rate(pairs, "deu") == 1.0
-
-    def test_threshold_boundary_not_flagged(self):
-        # 3 tokens against 5: ratio 0.6 is not strictly below 0.6
-        pairs = [("one two three", "one two three four five")]
-        assert under_translation_rate(pairs, "deu", ratio_threshold=0.6) == 0.0
-
-    def test_spaceless_target_uses_scalar_counts(self):
-        # two CJK chars vs ten: 0.2 < 0.6 flags; token counts would say 1/1
-        pairs = [("中文", "中文" * 5)]
-        assert under_translation_rate(pairs, "cmn") == 1.0
-        assert under_translation_rate(pairs, "deu") == 0.0
-
-    def test_empty_reference_never_flagged(self):
-        assert under_translation_rate([("whatever", "")], "deu") == 0.0
-
-    def test_fixture_matches_brute_force(self):
-        rng = random.Random(3031)
-        vocab = ["alpha", "beta", "gamma", "delta"]
-        pairs = []
-        for _ in range(40):
-            ref = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 10)))
-            hyp = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 10)))
-            pairs.append((hyp, ref))
-        got = under_translation_rate(pairs, "deu", ratio_threshold=0.6)
-        flagged = sum(
-            1 for hyp, ref in pairs
-            if len(tokenize_13a(ref)) > 0
-            and len(tokenize_13a(hyp)) / len(tokenize_13a(ref)) < 0.6
-        )
-        assert got == flagged / 40
-
-    def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            under_translation_rate([("a", "b")], "deu", ratio_threshold=1.5)
-
-    def test_empty_pairs(self):
-        with pytest.raises(EmptyInput):
-            under_translation_rate([], "deu")

@@ -26,7 +26,6 @@ from evoloop.backends import (
 )
 from evoloop.backends.mock import (
     ContrastTranslator,
-    EchoTranslator,
     LookupTranslator,
     MockScorer,
     MockTts,
@@ -43,6 +42,8 @@ from evoloop.errors import (
     SynthesisRejected,
     TransientBackendError,
 )
+
+from helpers import EchoTranslator
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

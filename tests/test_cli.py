@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, config precedence, reports."""
 
+import argparse
 import csv
 import json
 import string
@@ -471,8 +472,12 @@ def test_evaluate_direction_filter(dirscores, tmp_path, capsys):
     [1],
     [{"direction": ["eng"], "spbleu": 25.04, "comet": 86.23}],
     [{"direction": "eng-khm", "spbleu": 25.04, "comet": 86.23}],
+    [{"direction": ["eng", "khm"], "spbleu": "abc", "comet": 86.23}],
+    [{"direction": ["eng", "khm"], "spbleu": 25.04, "comet": 86.23, "n_samples": "x"}],
+    [{"direction": ["eng", "khm"], "spbleu": 125.04, "comet": 86.23}],
 ], ids=["object-without-rows", "row-without-spbleu", "row-not-an-object",
-        "direction-not-a-pair", "direction-a-string"])
+        "direction-not-a-pair", "direction-a-string", "spbleu-not-a-number",
+        "n-samples-not-a-number", "spbleu-out-of-range"])
 def test_malformed_direction_scores_is_usage_error(tmp_path, capsys, command, content):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(content))
@@ -665,6 +670,10 @@ def test_report_rounds_table_and_csv_agree(corpus_dir, capsys):
     assert len(csv_rows) == len(table_lines)
     for line, row in zip(table_lines, csv_rows):
         assert line.split() == [cell for cell in row if cell]
+    raw = csv_path.read_bytes()
+    assert raw.count(b"\r\n") == len(table_lines) and raw.endswith(b"\r\n")
+    assert b"\n" not in raw.replace(b"\r\n", b"")
+    assert list(corpus_dir.glob("*.tmp")) == []
 
 
 def test_report_rounds_deltas_match_recomputation(corpus_dir, capsys):
@@ -841,3 +850,81 @@ def test_golden_reports_match_committed(tmp_path, monkeypatch, capsys):
     for name, payload in jobspecs.items():
         committed = json.loads((DOCS_DIR / "jobspecs" / f"{name}.json").read_text())
         assert payload == committed, name
+
+
+# --- one parser per process ----------------------------------------------------
+
+def test_reused_parser_gives_what_fresh_parsers_give(dirscores, tmp_path, capsys):
+    ws = tmp_path / "ws"
+    evaluate = ["evaluate", "--direction-scores", dirscores, "--workspace", ws]
+    calls = [
+        evaluate + ["--direction", "eng-deu", "--by-resource"],
+        evaluate,
+        ["report", "resource", "--direction-scores", dirscores, "--workspace", ws],
+        evaluate + ["--report", tmp_path / "evaluate.json"],
+        ["validate", tmp_path / "absent.jsonl"],
+        evaluate,
+    ]
+
+    def run_all(fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            code, out = run_cli(argv, capsys)
+            results.append((code, out, (ws / "reports" / "evaluate.json").read_text()))
+        return results
+
+    fresh = run_all(fresh=True)
+    assert run_all(fresh=False) == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 0]
+    assert len(fresh[1][1].splitlines()) == 2 + len(DIR_ROWS)
+
+
+def test_usage_error_leaves_the_parser_usable(dirscores, tmp_path, capsys):
+    argv = ["report", "directions", "--direction-scores", dirscores,
+            "--workspace", tmp_path / "ws"]
+    first = run_cli(argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv] + ["--direction", "eng-khm", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert run_cli(argv, capsys) == first
+    assert len(first[1].splitlines()) == 2 + len(DIR_ROWS)
+
+
+HELP_COMMANDS = [[], ["report"]] + [name.split("_") for name in GOLDEN_COMMANDS]
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS, ids=lambda c: " ".join(c) or "evoloop")
+def test_help_is_the_same_on_every_call(command, capsys):
+    build_parser.cache_clear()
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(f"usage: {' '.join(['evoloop'] + command)} ")
+
+
+def test_main_builds_the_parser_once(dirscores, tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    argv = ["report", "directions", "--direction-scores", dirscores,
+            "--workspace", tmp_path / "ws"]
+    assert run_cli(argv, capsys)[0] == 0
+    # the top-level parser plus one per subcommand and report kind
+    assert len(built) == 1 + 8 + 3
+    assert run_cli(argv, capsys)[0] == 0
+    assert run_cli(["evaluate", "--direction-scores", dirscores,
+                    "--workspace", tmp_path / "ws"], capsys)[0] == 0
+    assert len(built) == 12

@@ -12,7 +12,6 @@ from evoloop.backends.cache import ContentCache
 from evoloop.backends.clients import ScoreClient, TranslateClient, TtsClient
 from evoloop.backends.mock import (
     ContrastTranslator,
-    EchoTranslator,
     LookupTranslator,
     MockScorer,
     MockTts,
@@ -48,6 +47,8 @@ from evoloop.evolution import (
 )
 from evoloop.evolution import loop as loop_mod
 from evoloop.mockstack import build_mock_stack
+
+from helpers import EchoTranslator
 
 POOL = ["voice-a", "voice-b", "voice-c", "voice-d", "voice-e"]
 

@@ -11,11 +11,12 @@ from evoloop.errors import PieceTableError
 from evoloop.metrics import (
     PieceTable,
     load_piece_table,
-    make_table,
     sp_segment,
     sp_segment_spans,
 )
 from evoloop.metrics.spm import SPACE_MARKER, normalize_for_pieces, viterbi_decode
+
+from helpers import make_table
 
 M = SPACE_MARKER
 
