@@ -1,4 +1,8 @@
-"""Model-service clients: transports, mocks, caching, batching."""
+"""Model-service clients: transports, mocks, caching, batching.
+
+`HttpTransport` loads on first access, so importing this package does
+not import the transport module or `socket`.
+"""
 
 from .batch import (
     DEFAULT_FAILURE_BUDGET,
@@ -19,7 +23,6 @@ from .clients import (
     TranslationMode,
     TtsClient,
 )
-from .transport import HttpTransport
 
 __all__ = [
     "BEAM",
@@ -40,3 +43,10 @@ __all__ = [
     "run_batch",
     "with_retry",
 ]
+
+
+def __getattr__(name):
+    if name == "HttpTransport":
+        from .transport import HttpTransport
+        return HttpTransport
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

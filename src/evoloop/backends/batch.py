@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -61,6 +60,7 @@ def run_batch(
         raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
     if not tasks:
         return []
+    from concurrent.futures import ThreadPoolExecutor
 
     def run_one(task: Callable[[], Any]) -> BatchResult:
         try:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sqlite3
 import threading
 import weakref
 from pathlib import Path
@@ -74,12 +73,14 @@ class ContentCache:
         self.root = Path(root)
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        self._db: sqlite3.Connection | None = None
+        self._db = None
         self._close_db = None
 
-    def _connect(self) -> sqlite3.Connection:
-        """The shared connection, opened on first use; caller holds _lock."""
+    def _connect(self):
+        """The shared sqlite3 connection, opened on first use; caller holds _lock."""
         if self._db is None:
+            import sqlite3
+
             self.root.mkdir(parents=True, exist_ok=True)
             db = sqlite3.connect(self.root / DB_NAME, isolation_level=None,
                                  check_same_thread=False)

@@ -16,10 +16,10 @@ Documented behaviors relied on by fixtures:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import threading
-import wave
 from collections import Counter
 from pathlib import Path
 from typing import Callable, Mapping
@@ -32,7 +32,11 @@ SAMPLE_RATE_HZ = 16000
 _STUB_FRAMES = 160  # 10 ms of audio; metadata carries the logical duration
 
 
+@functools.cache
 def _wav_stub() -> bytes:
+    """The one WAV file every clip gets, built on first use."""
+    import wave
+
     buf = io.BytesIO()
     with wave.open(buf, "wb") as wav:
         wav.setnchannels(1)
@@ -40,9 +44,6 @@ def _wav_stub() -> bytes:
         wav.setframerate(SAMPLE_RATE_HZ)
         wav.writeframes(bytes(2 * _STUB_FRAMES))  # PCM16 silence
     return buf.getvalue()
-
-
-_WAV_STUB = _wav_stub()
 
 
 class CallCounter:
@@ -91,7 +92,7 @@ class MockTts:
         uri = f"audio/{key}.wav"
         path = self.workspace / uri
         if not path.exists():
-            write_atomic(path, _WAV_STUB)
+            write_atomic(path, _wav_stub())
         return {
             "uri": uri,
             "duration_s": duration_s,

@@ -22,7 +22,6 @@ full precision.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -37,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .atomic import write_atomic, write_jsonl
 from .backends.clients import EndpointConfig
 from .backends.mock import LookupTranslator
-from .backends.transport import HttpTransport
 from .corpus import (
     ResourceLevel,
     Sample,
@@ -237,6 +235,8 @@ def build_stack(cfg: RunConfig, ws: Path, lookup_samples: Sequence[Sample] = ())
         raise UsageError(
             f"endpoints not configured: {', '.join(missing)} (or pass --mock)"
         )
+    from .backends.transport import HttpTransport
+
     transports = [
         HttpTransport(ep.base_url, timeout_s=ep.timeout_s, token=cfg.token)
         for ep in (cfg.endpoints[name] for name in ("tts", "translate", "score"))
@@ -342,6 +342,18 @@ def _language_pair(value) -> Tuple[str, str]:
     return tuple(value)
 
 
+def _json_number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _json_integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _direction_rows(args: argparse.Namespace) -> List[DirectionScore]:
     """The --direction-scores rows that --direction selects."""
     path = args.direction_scores
@@ -356,13 +368,13 @@ def _direction_rows(args: argparse.Namespace) -> List[DirectionScore]:
         rows = [
             DirectionScore(
                 direction=_language_pair(obj["direction"]),
-                spbleu=float(obj["spbleu"]),
-                comet=float(obj["comet"]),
-                n_samples=int(obj.get("n_samples", 1)),
+                spbleu=_json_number(obj["spbleu"]),
+                comet=_json_number(obj["comet"]),
+                n_samples=_json_integer(obj.get("n_samples", 1)),
             )
             for obj in (raw["rows"] if isinstance(raw, dict) else raw)
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(
             f"malformed direction scores in {path}: {type(exc).__name__}: {exc}"
         ) from exc
@@ -649,6 +661,8 @@ def cmd_report_rounds(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Out
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
     if args.csv:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)

@@ -77,10 +77,6 @@ _TAXONOMY: dict[str, tuple[str, ResourceLevel]] = {
 
 SUPPORTED_LANGUAGES: tuple[str, ...] = tuple(sorted(_TAXONOMY))
 
-# Target scripts written without inter-word spaces; length heuristics fall
-# back to scalar counts for these.
-SPACELESS_SCRIPTS: frozenset[str] = frozenset({"cmn", "jpn", "tha", "khm", "lao", "mya"})
-
 
 def resource_level(code: str) -> ResourceLevel:
     """Resource level of a supported language code."""

@@ -18,8 +18,6 @@ from __future__ import annotations
 import functools
 import json
 import logging
-import shlex
-import subprocess
 from typing import Callable, List, Optional, Sequence
 
 from ..atomic import write_jsonl
@@ -87,6 +85,9 @@ def run_update_hook(hook, jobspec_path: str) -> None:
     if callable(hook):
         hook(str(jobspec_path))
         return
+    import shlex
+    import subprocess
+
     command = str(hook).format(jobspec=shlex.quote(str(jobspec_path)))
     proc = subprocess.run(shlex.split(command))
     if proc.returncode != 0:

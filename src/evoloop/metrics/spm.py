@@ -130,7 +130,7 @@ def load_piece_table(path: str | Path) -> PieceTable:
                 continue
             if piece in pieces:
                 raise PieceTableError(f"{path}:{line_no}: duplicate piece {piece!r}")
-            pieces[piece] = _check_piece(piece, score)
+            pieces[piece] = score  # PieceTable checks every piece
     if not pieces:
         raise PieceTableError(f"{path}: no usable pieces")
     return PieceTable(pieces, unk_logprob=unk_logprob)

@@ -475,9 +475,14 @@ def test_evaluate_direction_filter(dirscores, tmp_path, capsys):
     [{"direction": ["eng", "khm"], "spbleu": "abc", "comet": 86.23}],
     [{"direction": ["eng", "khm"], "spbleu": 25.04, "comet": 86.23, "n_samples": "x"}],
     [{"direction": ["eng", "khm"], "spbleu": 125.04, "comet": 86.23}],
+    [{"direction": ["eng", "khm"], "spbleu": True, "comet": 86.23}],
+    [{"direction": ["eng", "khm"], "spbleu": 25.04, "comet": 86.23, "n_samples": 2.9}],
+    [{"direction": ["eng", "khm"], "spbleu": 25.04, "comet": "86.2"}],
+    [{"direction": ["eng", "khm"], "spbleu": 10**400, "comet": 86.23}],
 ], ids=["object-without-rows", "row-without-spbleu", "row-not-an-object",
         "direction-not-a-pair", "direction-a-string", "spbleu-not-a-number",
-        "n-samples-not-a-number", "spbleu-out-of-range"])
+        "n-samples-not-a-number", "spbleu-out-of-range", "spbleu-a-boolean",
+        "n-samples-not-an-integer", "comet-a-string", "spbleu-too-large-for-a-float"])
 def test_malformed_direction_scores_is_usage_error(tmp_path, capsys, command, content):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(content))

@@ -61,9 +61,6 @@ class TestTaxonomy:
         with pytest.raises(UnknownLanguage):
             resource_level("")
 
-    def test_spaceless_script_set(self):
-        assert corpus.SPACELESS_SCRIPTS == {"cmn", "jpn", "tha", "khm", "lao", "mya"}
-
 
 class TestHashSample:
     def test_matches_hand_built_canonical_form(self):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import evoloop
 
 SRC = Path(evoloop.__file__).resolve().parents[1]
@@ -50,3 +52,67 @@ def test_https_transport_loads_ssl():
                           "HttpTransport('https://model.invalid')")
     assert "ssl" in added
     assert "http.client" not in added
+
+
+DEFERRED = ("socket", "sqlite3", "subprocess", "csv", "concurrent.futures", "wave")
+
+
+def test_cli_import_defers_rare_path_modules():
+    added = modules_added()
+    assert [name for name in DEFERRED if name in added] == []
+
+
+def _rounds_workspace(tmp_path: Path) -> str:
+    state = tmp_path / "ws" / "rounds" / "1" / "state.json"
+    state.parent.mkdir(parents=True)
+    state.write_text(json.dumps({"round_index": 1, "eval_score": 0.5,
+                                 "delta_vs_best": 0.5, "status": "Improved"}))
+    return str(tmp_path / "ws")
+
+
+# the one path that loads each deferred module, as probe code for a tmp_path
+LOADING_PATHS = {
+    "socket": lambda tmp: "from evoloop.backends import HttpTransport\n"
+                          "HttpTransport('http://model.invalid')",
+    "sqlite3": lambda tmp: "from evoloop.backends import ContentCache\n"
+                           f"cache = ContentCache({str(tmp / 'cache')!r})\n"
+                           "cache.get('score', 'v0', 'k')\n"
+                           "cache.close()",
+    "subprocess": lambda tmp: "import sys\n"
+                              "from evoloop.evolution.loop import run_update_hook\n"
+                              "run_update_hook('\"' + sys.executable + '\" -c pass {jobspec}',"
+                              " 'jobspec.json')",
+    "csv": lambda tmp: "evoloop.cli.main(['report', 'rounds', '--workspace',"
+                       f" {_rounds_workspace(tmp)!r}, '--csv', {str(tmp / 'r.csv')!r}])",
+    "concurrent.futures": lambda tmp: "from evoloop.backends import run_batch\n"
+                                      "run_batch([lambda: 1])",
+    "wave": lambda tmp: "from evoloop.backends.mock import MockTts\n"
+                        f"MockTts({str(tmp)!r}).tts({{'text': 'a', 'voice_id': 'v'}})",
+}
+
+
+@pytest.mark.parametrize("module", sorted(LOADING_PATHS))
+def test_deferred_module_loads_on_its_own_path(tmp_path, module):
+    added = modules_added(LOADING_PATHS[module](tmp_path))
+    assert [name for name in DEFERRED if name in added] == [module]
+
+
+def test_report_rounds_without_csv_skips_csv(tmp_path):
+    added = modules_added("evoloop.cli.main(['report', 'rounds', '--workspace',"
+                          f" {_rounds_workspace(tmp_path)!r}])")
+    assert "csv" not in added
+
+
+def test_http_transport_resolves_from_the_package():
+    import evoloop.backends as backends
+    from evoloop.backends.transport import HttpTransport
+
+    assert backends.HttpTransport is HttpTransport
+    assert "HttpTransport" in backends.__all__
+    namespace = {}
+    exec("from evoloop.backends import *", namespace)
+    assert namespace["HttpTransport"] is HttpTransport
+    exec("from evoloop.backends import HttpTransport as imported", namespace)
+    assert namespace["imported"] is HttpTransport
+    with pytest.raises(AttributeError):
+        backends.NoSuchTransport

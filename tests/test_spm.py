@@ -184,6 +184,21 @@ class TestTsvLoading:
         with pytest.raises(PieceTableError):
             load_piece_table(p)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("b\t-1.0\na\t0.5\n", "piece 'a': logprob must be finite and <= 0, got 0.5"),
+        ("a\tnan\n", "piece 'a': logprob must be finite and <= 0, got nan"),
+        ("b\t-1.0\na b\t-1.0\n",
+         f"piece 'a b' contains raw whitespace; use {SPACE_MARKER} for word boundaries"),
+        ("\t-1.0\n", "invalid piece ''"),
+    ], ids=["positive-logprob", "nan-logprob", "raw-space", "empty-piece"])
+    def test_invalid_row_message(self, tmp_path, rows, message):
+        # the loader leaves these checks to PieceTable; the text is the same
+        p = tmp_path / "v.tsv"
+        p.write_text(rows, encoding="utf-8")
+        with pytest.raises(PieceTableError) as err:
+            load_piece_table(p)
+        assert str(err.value) == message
+
     def test_comments_only_is_empty(self, tmp_path):
         p = tmp_path / "v.tsv"
         p.write_text("# nothing\n# here\n", encoding="utf-8")
