@@ -50,11 +50,12 @@ class BatchResult:
 
 
 def run_batch(
-    tasks: Sequence[Callable[[], Any]], max_in_flight: int = 8
+    tasks: Sequence[Callable[[], Any]], max_in_flight: int
 ) -> list[BatchResult]:
-    """Run each task once with bounded parallelism; results come back in
-    input order regardless of completion order. Failures are carried per
-    item, never raised out of the pool. Retry belongs to the clients.
+    """Run each task once, at most max_in_flight at a time; results come
+    back in input order regardless of completion order. Failures are
+    carried per item, never raised out of the pool. Retry belongs to the
+    clients.
     """
     if max_in_flight < 1:
         raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")

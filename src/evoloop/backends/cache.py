@@ -42,36 +42,9 @@ def payload_hash(payload: dict) -> str:
     return hashlib.sha256(canonical_payload(payload).encode("utf-8")).hexdigest()
 
 
-class CacheStats:
-    __slots__ = ("hits", "misses", "writes", "_lock")
-
-    def __init__(self):
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self._lock = threading.Lock()
-
-    def hit(self):
-        with self._lock:
-            self.hits += 1
-
-    def miss(self):
-        with self._lock:
-            self.misses += 1
-
-    def wrote(self):
-        with self._lock:
-            self.writes += 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses, "writes": self.writes}
-
-
 class ContentCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.stats = CacheStats()
         self._lock = threading.Lock()
         self._db = None
         self._close_db = None
@@ -108,11 +81,7 @@ class ContentCache:
                 "SELECT response FROM responses"
                 " WHERE endpoint = ? AND namespace = ? AND key = ?",
                 (endpoint, namespace, key)).fetchone()
-        if row is None:
-            self.stats.miss()
-            return None
-        self.stats.hit()
-        return json.loads(row[0])
+        return None if row is None else json.loads(row[0])
 
     def put(self, endpoint: str, namespace: str, key: str, response: dict) -> None:
         """Store response under key (a payload_hash)."""
@@ -121,4 +90,3 @@ class ContentCache:
             self._connect().execute(
                 "INSERT OR REPLACE INTO responses VALUES (?, ?, ?, ?)",
                 (endpoint, namespace, key, data))
-        self.stats.wrote()

@@ -90,10 +90,8 @@ class _CachedClient:
 
 
 class TtsClient(_CachedClient):
-    def __init__(self, backend, cache, config: EndpointConfig | None = None,
-                 duration_limit_s: float = DURATION_LIMIT_S, **kwargs):
+    def __init__(self, backend, cache, config: EndpointConfig | None = None, **kwargs):
         super().__init__(backend, cache, "tts", config or EndpointConfig(), **kwargs)
-        self.duration_limit_s = duration_limit_s
 
     def synthesize(
         self, text: str, voice_id: str, target_duration_s: float | None = None
@@ -122,8 +120,8 @@ class TtsClient(_CachedClient):
             origin=AudioOrigin.SYNTHETIC,
             voice_id=voice_id,
         )
-        if audio.duration_s > self.duration_limit_s:
-            raise DurationOverrun(audio, self.duration_limit_s)
+        if audio.duration_s > DURATION_LIMIT_S:
+            raise DurationOverrun(audio, DURATION_LIMIT_S)
         return audio
 
 

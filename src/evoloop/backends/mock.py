@@ -28,6 +28,7 @@ from ..atomic import write_atomic
 from ..errors import PermanentBackendError
 
 CHARS_PER_SECOND = 15.0
+MISS_PENALTY = 0.05  # ScheduledScorer: a miss scores this far below the schedule
 SAMPLE_RATE_HZ = 16000
 _STUB_FRAMES = 160  # 10 ms of audio; metadata carries the logical duration
 
@@ -164,19 +165,13 @@ class ScheduledScorer:
     """Quality that follows a per-version schedule.
 
     Exact-match hypotheses score schedule[version]; anything else scores
-    miss_penalty below that (floored at 0). version_provider is read per
+    MISS_PENALTY below that (floored at 0). version_provider is read per
     request, so the same instance tracks a model as update rounds bump it.
     """
 
-    def __init__(
-        self,
-        schedule: list[float],
-        version_provider: Callable[[], int],
-        miss_penalty: float = 0.05,
-    ):
+    def __init__(self, schedule: list[float], version_provider: Callable[[], int]):
         self.schedule = list(schedule)
         self.version_provider = version_provider
-        self.miss_penalty = miss_penalty
         self.calls = CallCounter()
 
     def score(self, payload: dict) -> dict:
@@ -185,4 +180,4 @@ class ScheduledScorer:
         base = self.schedule[min(version, len(self.schedule) - 1)]
         if payload["hypothesis"] == payload["reference"]:
             return {"score": base}
-        return {"score": max(0.0, base - self.miss_penalty)}
+        return {"score": max(0.0, base - MISS_PENALTY)}

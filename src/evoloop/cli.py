@@ -220,6 +220,10 @@ def _lookup_outputs(samples: Sequence[Sample]) -> dict:
     return outputs
 
 
+# calls each phase keeps in flight to the HTTP services
+HTTP_MAX_IN_FLIGHT = 8
+
+
 def build_stack(cfg: RunConfig, ws: Path, lookup_samples: Sequence[Sample] = ()):
     """Mock or HTTP backends behind the cached clients."""
     if cfg.mock:
@@ -241,7 +245,8 @@ def build_stack(cfg: RunConfig, ws: Path, lookup_samples: Sequence[Sample] = ())
         HttpTransport(ep.base_url, timeout_s=ep.timeout_s, token=cfg.token)
         for ep in (cfg.endpoints[name] for name in ("tts", "translate", "score"))
     ]
-    return wire_stack(str(ws), ModelVersion(0), *transports, endpoints=cfg.endpoints)
+    return wire_stack(str(ws), ModelVersion(0), *transports,
+                      max_in_flight=HTTP_MAX_IN_FLIGHT, endpoints=cfg.endpoints)
 
 
 # --- rendering helpers --------------------------------------------------------
@@ -433,7 +438,8 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
     samples = _load_samples(args.manifest, cfg.strict_manifests)
     with build_stack(cfg, ws, samples) as stack:
         enriched = run_acquisition(
-            samples, list(cfg.voices), cfg.evolution, stack.backends.tts
+            samples, list(cfg.voices), cfg.evolution, stack.backends.tts,
+            max_in_flight=stack.max_in_flight,
         )
     out = Path(args.out) if args.out else ws / "synth.jsonl"
     save_manifest(enriched, out)
@@ -498,7 +504,8 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
     samples = _load_samples(args.manifest, cfg.strict_manifests)
     with build_stack(cfg, ws, samples) as stack:
         scored = run_refinement(
-            samples, cfg.evolution, stack.backends.translate, stack.backends.score
+            samples, cfg.evolution, stack.backends.translate, stack.backends.score,
+            max_in_flight=stack.max_in_flight,
         )
     out_dir = Path(args.out) if args.out else ws / "classify"
     result = partition_and_emit(scored, args.round_index, str(out_dir), workspace=str(ws))
@@ -591,6 +598,7 @@ def cmd_loop(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
             str(ws),
             update_hook=cfg.update_hook,
             version=stack.version,
+            max_in_flight=stack.max_in_flight,
         )
     for state in history:
         print(

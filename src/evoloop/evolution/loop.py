@@ -112,17 +112,19 @@ def run_loop(
     workspace: str,
     update_hook=None,
     version: Optional[ModelVersion] = None,
-    max_in_flight: int = 8,
+    *,
+    max_in_flight: int,
     on_phase: Optional[Callable[[int, str, str], None]] = None,
 ) -> List[RoundState]:
     """Drive rounds until convergence or the round cap.
 
-    `version` is the shared model-version cell; it is restored from the
-    journal on resume and advanced whenever a round emits a JobSpec (the
-    update hook, if any, runs first). `on_phase(round_index, phase,
-    source)` fires once per phase, after it loads from the journal
-    (`source` "journal") or runs and commits ("fresh"); tests raise from
-    it to kill the loop at exact points.
+    `max_in_flight` bounds each phase's fan-out of backend calls; the
+    journal does not depend on it. `version` is the shared model-version
+    cell; it is restored from the journal on resume and advanced whenever
+    a round emits a JobSpec (the update hook, if any, runs first).
+    `on_phase(round_index, phase, source)` fires once per phase, after it
+    loads from the journal (`source` "journal") or runs and commits
+    ("fresh"); tests raise from it to kill the loop at exact points.
 
     Acquisition runs once per run: voices depend only on (seed, sample
     id), so every round would synthesize the same clips. It is journaled
@@ -163,17 +165,17 @@ def run_loop(
         _report(on_phase, round_index, phase, source)
         return get
 
-    def evaluate(by_direction: bool = False):
+    def evaluate():
         return run_evaluation(
             eval_samples, config, backends.tts, backends.translate, backends.score,
-            max_in_flight=max_in_flight, by_direction=by_direction,
+            max_in_flight=max_in_flight,
         )
 
     # baseline evaluation of the unmodified model anchors round-1 delta
     if jrnl.has_baseline():
         baseline, source = jrnl.baseline(), "journal"
     else:
-        baseline, source = evaluate(), "fresh"
+        baseline, source = evaluate()[0], "fresh"
         jrnl.set_baseline(baseline)
     _report(on_phase, 0, "baseline", source)
 
@@ -231,7 +233,7 @@ def run_loop(
             rows = scored()
             n_positive = sum(1 for s in rows if s.label is Label.POSITIVE)
             n_negative = len(rows) - n_positive
-            eval_score, by_direction = evaluate(by_direction=True)
+            eval_score, by_direction = evaluate()
             best = max([baseline] + [r.eval_score for r in history])
             delta = eval_score - best
             state = RoundState(

@@ -92,7 +92,7 @@ def run_acquisition(
     voice_pool: Sequence[str],
     config: EvolutionConfig,
     tts,
-    max_in_flight: int = 8,
+    max_in_flight: int,
 ) -> List[Sample]:
     """Synthesize speech for every sample; returns enriched samples.
 
@@ -146,7 +146,7 @@ def run_refinement(
     config: EvolutionConfig,
     translate,
     score,
-    max_in_flight: int = 8,
+    max_in_flight: int,
 ) -> List[ScoredSample]:
     """Score text-only vs speech-guided translation for each sample.
 
@@ -252,16 +252,14 @@ def run_evaluation(
     tts,
     translate,
     score,
-    max_in_flight: int = 8,
-    by_direction: bool = False,
-):
-    """Mean speech-guided translation score over the eval set.
+    max_in_flight: int,
+) -> Tuple[float, dict]:
+    """Mean speech-guided translation score over the eval set, and the
+    mean per direction: (mean, {"src-tgt": mean, ...}).
 
     All eval speech uses the single fixed voice so that round-over-round
     deltas measure the model, not voice variation. Samples that fail
-    within the failure budget are left out of every mean. With
-    by_direction the return value is (mean, {"src-tgt": per-direction
-    mean, ...}).
+    within the failure budget are left out of every mean.
     """
     eval_samples = list(eval_samples)
     if not eval_samples:
@@ -280,14 +278,11 @@ def run_evaluation(
 
     scored = _fan_out("evaluation", eval_samples, make_task, max_in_flight)
     values = [value for _, value in scored]
-    mean = sum(values) / len(values)
-    if by_direction:
-        per_direction: dict = {}
-        for sample, value in scored:
-            per_direction.setdefault(sample.direction, []).append(value)
-        breakdown = {
-            f"{src}-{tgt}": sum(vals) / len(vals)
-            for (src, tgt), vals in sorted(per_direction.items())
-        }
-        return mean, breakdown
-    return mean
+    per_direction: dict = {}
+    for sample, value in scored:
+        per_direction.setdefault(sample.direction, []).append(value)
+    breakdown = {
+        f"{src}-{tgt}": sum(vals) / len(vals)
+        for (src, tgt), vals in sorted(per_direction.items())
+    }
+    return sum(values) / len(values), breakdown

@@ -15,11 +15,8 @@ When the table is word-local (no piece holds the marker past its first
 codepoint), every segmentation breaks before each marker, so each word,
 from its marker up to the next, is decoded on its own and the text's
 segmentation is the concatenation of the words' segmentations.
-Callers scoring many strings can pass one memo, so each distinct word is
-decoded once. sp_segment and sp_segment_spans keep different memos:
-sp_segment's maps a word to its finished piece list, so a repeated word
-costs one lookup; sp_segment_spans' maps a decoded string to its spans and
-score. Do not pass one dict to both.
+Callers scoring many strings can pass sp_segment one memo, which maps a
+word to its finished piece list, so a repeated word costs one lookup.
 """
 
 from __future__ import annotations
@@ -189,7 +186,7 @@ def viterbi_decode(norm, pieces, max_piece_len, unk_logprob):
 
 
 def sp_segment_spans(
-    text: str, table: PieceTable, memo: dict | None = None
+    text: str, table: PieceTable
 ) -> tuple[str, list[tuple[int, int, bool]], float]:
     """Decode; returns (normalized_text, spans, total_logprob).
 
@@ -201,27 +198,20 @@ def sp_segment_spans(
     the next marker) on its own with viterbi_decode, so ties keep the
     earliest candidate within a word, and the total is the sum of the word
     scores taken left to right. Any other table decodes the whole string at
-    once. memo maps a decoded string to its (spans, score); pass the same
-    dict across calls with one table to decode each distinct word once.
-    This memo is not sp_segment's, whose values are piece lists.
+    once.
     """
     norm = normalize_for_pieces(text)
     if table.word_local:
         chunks = [SPACE_MARKER + word for word in norm[1:].split(SPACE_MARKER)]
     else:
         chunks = [norm]
-    if memo is None:
-        memo = {}
     spans: list[tuple[int, int, bool]] = []
     score = 0.0
     offset = 0
     for chunk in chunks:
-        decoded = memo.get(chunk)
-        if decoded is None:
-            decoded = memo[chunk] = viterbi_decode(
-                chunk, table.pieces, table.max_piece_len, table.unk_logprob
-            )
-        chunk_spans, chunk_score = decoded
+        chunk_spans, chunk_score = viterbi_decode(
+            chunk, table.pieces, table.max_piece_len, table.unk_logprob
+        )
         spans.extend((a + offset, b + offset, is_unk) for a, b, is_unk in chunk_spans)
         score += chunk_score
         offset += len(chunk)
@@ -240,7 +230,7 @@ def sp_segment(text: str, table: PieceTable, memo: dict | None = None) -> list[s
     memo maps a word (a decoded chunk without its leading marker; the whole
     text for a table that is not word-local) to its piece list; pass the
     same dict across calls with one table so a repeated word costs one
-    lookup. This memo is not sp_segment_spans', whose values are spans.
+    lookup.
     """
     marked = text.replace(" ", SPACE_MARKER)
     words = marked.split(SPACE_MARKER) if table.word_local else (marked,)

@@ -6,7 +6,8 @@ deterministic mocks, for the CLI's --mock flag and for tests that drive
 the full loop without a network. The stack shares a single content cache
 and a single model-version cell: the translation and scoring clients
 namespace their cache entries by version, so post-update responses never
-read stale pre-update cache entries.
+read stale pre-update cache entries. The stack also carries the width at
+which the loop's phases fan out calls to its backends.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ DEFAULT_VOICE_POOL = ("voice-a", "voice-b", "voice-c", "voice-d", "voice-e")
 
 @dataclass
 class MockStack:
-    """The cached clients, their version cell and cache, and the backends
-    behind them. Used as a context manager, it closes on exit each backend
-    that has a `close` (an HTTP transport's kept-alive connections) and the
-    cache."""
+    """The cached clients, their version cell and cache, the backends
+    behind them, and the fan-out width those backends are run at. Used as
+    a context manager, it closes on exit each backend that has a `close`
+    (an HTTP transport's kept-alive connections) and the cache."""
 
     backends: Backends
     version: ModelVersion
@@ -38,6 +39,7 @@ class MockStack:
     tts_backend: object
     translate_backend: object
     score_backend: object
+    max_in_flight: int
 
     def __enter__(self) -> "MockStack":
         return self
@@ -57,10 +59,13 @@ def wire_stack(
     tts_backend,
     translate_backend,
     score_backend,
+    *,
+    max_in_flight: int,
     endpoints: Optional[Mapping[str, EndpointConfig]] = None,
 ) -> MockStack:
     """Cached clients over the three backends, with one cache under
-    `workspace/cache`; `endpoints` holds each client's retry settings."""
+    `workspace/cache`; `endpoints` holds each client's retry settings and
+    `max_in_flight` is the fan-out width suited to this kind of backend."""
     endpoints = endpoints or {}
     cache = ContentCache(Path(workspace) / "cache")
     backends = Backends(
@@ -81,6 +86,7 @@ def wire_stack(
         tts_backend=tts_backend,
         translate_backend=translate_backend,
         score_backend=score_backend,
+        max_in_flight=max_in_flight,
     )
 
 
@@ -89,7 +95,6 @@ def build_mock_stack(
     translator=None,
     scorer=None,
     eval_schedule: Optional[Sequence[float]] = None,
-    miss_penalty: float = 0.05,
     known_voices: Optional[frozenset] = None,
 ) -> MockStack:
     """Build cached clients over deterministic in-process backends.
@@ -99,6 +104,9 @@ def build_mock_stack(
     strictly helps on multi-token inputs. Passing `eval_schedule` swaps in
     the version-stepped scorer, which makes eval scores follow the
     schedule as the loop's update phase advances the model version.
+
+    The mocks answer in this process at once, so more threads only
+    contend for the GIL and the cache lock: the stack fans out at width 1.
     """
     version = ModelVersion(0)
     tts_backend = MockTts(workspace, known_voices=known_voices)
@@ -107,10 +115,10 @@ def build_mock_stack(
         score_backend = scorer
     elif eval_schedule is not None:
         score_backend = ScheduledScorer(
-            list(eval_schedule), version_provider=lambda: version.value,
-            miss_penalty=miss_penalty,
+            list(eval_schedule), version_provider=lambda: version.value
         )
     else:
         score_backend = MockScorer()
 
-    return wire_stack(workspace, version, tts_backend, translate_backend, score_backend)
+    return wire_stack(workspace, version, tts_backend, translate_backend, score_backend,
+                      max_in_flight=1)

@@ -282,15 +282,18 @@ def _journal_tree(ws):
 
 
 def test_loop_determinism_and_crash_resume(tmp_path):
-    """Same-seed runs leave byte-identical journals; a run killed mid-round
-    resumes from its journal, re-invokes no backend for work already done,
-    and finishes with the identical journal."""
+    """Same-seed runs leave byte-identical journals, at the mock stack's
+    fan-out width and at 8; a run killed mid-round resumes from its
+    journal, re-invokes no backend for work already done, and finishes
+    with the identical journal."""
     trees = []
     for name in ("one", "two"):
         ws = tmp_path / name
         train, evals, config, stack = _loop_setup(ws, SCHEDULE_3R)
+        width = stack.max_in_flight if name == "one" else 8
         history = run_loop(
-            train, evals, POOL, config, stack.backends, str(ws), version=stack.version
+            train, evals, POOL, config, stack.backends, str(ws), version=stack.version,
+            max_in_flight=width,
         )
         assert len(history) == 3
         assert history[-1].status is RoundStatus.CONVERGED
@@ -311,14 +314,14 @@ def test_loop_determinism_and_crash_resume(tmp_path):
     with pytest.raises(Killed):
         run_loop(
             train, evals, POOL, config, stack.backends, str(ws),
-            version=stack.version, on_phase=kill,
+            version=stack.version, max_in_flight=stack.max_in_flight, on_phase=kill,
         )
 
     train, evals, config, stack = _loop_setup(ws, SCHEDULE_3R)
     sources = {}
     history = run_loop(
         train, evals, POOL, config, stack.backends, str(ws),
-        version=stack.version,
+        version=stack.version, max_in_flight=stack.max_in_flight,
         on_phase=lambda k, phase, source: sources.setdefault((k, phase), source),
     )
     assert history[-1].status is RoundStatus.CONVERGED
@@ -435,7 +438,8 @@ def test_no_negative_sample_reaches_training_data(tmp_path):
         epsilon=0.001, patience=1, max_rounds=2, seed=21, fixed_eval_voice="narrator"
     )
     history = run_loop(
-        train, evals, POOL, config, stack.backends, str(ws), version=stack.version
+        train, evals, POOL, config, stack.backends, str(ws), version=stack.version,
+        max_in_flight=stack.max_in_flight,
     )
     assert any(state.n_negative > 0 for state in history)
     WORKSPACES.append(ws)

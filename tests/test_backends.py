@@ -115,7 +115,6 @@ class TestContentCache:
         assert cache.get("tts", "v0", payload_hash(payload)) is None
         cache.put("tts", "v0", payload_hash(payload), {"uri": "a.wav"})
         assert cache.get("tts", "v0", payload_hash(payload)) == {"uri": "a.wav"}
-        assert cache.stats.snapshot() == {"hits": 1, "misses": 1, "writes": 1}
 
     def test_key_order_does_not_matter(self, cache):
         cache.put("x", "v0", payload_hash({"a": 1, "b": 2}), {"r": 1})
@@ -207,7 +206,6 @@ class TestContentCache:
         assert errors == []
         for key in range(100):
             assert cache.get("score", "v0", payload_hash({"k": key})) == response(key)
-        assert cache.stats.snapshot()["writes"] == 8 * 200
 
     def test_entry_in_the_file_layout_is_not_read(self, tmp_path):
         payload = {"text": "hi", "voice_id": "v1"}

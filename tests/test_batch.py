@@ -83,7 +83,7 @@ class TestWithRetry:
 
 class TestRunBatch:
     def test_empty(self):
-        assert run_batch([]) == []
+        assert run_batch([], max_in_flight=1) == []
 
     def test_results_in_input_order_under_random_latency(self):
         rng = random.Random(606)
@@ -121,7 +121,7 @@ class TestRunBatch:
         def ugly():
             raise KeyError("missing")
 
-        results = run_batch([lambda: 1, bad, ugly])
+        results = run_batch([lambda: 1, bad, ugly], max_in_flight=3)
         assert results[0].ok and results[0].value == 1
         assert not results[1].ok
         assert isinstance(results[1].error, TransientBackendError)

@@ -2,16 +2,35 @@
 
 import argparse
 import csv
+import inspect
 import json
 import string
 from pathlib import Path
 
 import pytest
 
-from evoloop.cli import UsageError, build_parser, fmt1, load_run_config, main
+from evoloop.backends.batch import run_batch
+from evoloop.backends.clients import EndpointConfig
+from evoloop.cli import (
+    RunConfig,
+    UsageError,
+    build_parser,
+    build_stack,
+    fmt1,
+    load_run_config,
+    main,
+)
 from evoloop.corpus import hash_sample
-from evoloop.evolution import EvolutionConfig
+from evoloop.evolution import (
+    EvolutionConfig,
+    run_acquisition,
+    run_evaluation,
+    run_loop,
+    run_refinement,
+)
+from evoloop.evolution import phases
 from evoloop.evolution.journal import fingerprint_inputs
+from evoloop.mockstack import wire_stack
 
 SCHEDULE = "0.800,0.819,0.839,0.856,0.8565"
 
@@ -933,3 +952,49 @@ def test_main_builds_the_parser_once(dirscores, tmp_path, capsys, monkeypatch):
     assert run_cli(["evaluate", "--direction-scores", dirscores,
                     "--workspace", tmp_path / "ws"], capsys)[0] == 0
     assert len(built) == 12
+
+
+# --- fan-out width ---------------------------------------------------------------
+
+@pytest.fixture
+def fan_out_widths(monkeypatch):
+    """Every width the loop's phases fan out at, in call order."""
+    widths = []
+    real = phases.run_batch
+
+    def spy(tasks, max_in_flight):
+        widths.append(max_in_flight)
+        return real(tasks, max_in_flight=max_in_flight)
+
+    monkeypatch.setattr(phases, "run_batch", spy)
+    return widths
+
+
+def test_mock_commands_fan_out_at_width_one(corpus_dir, capsys, fan_out_widths):
+    ws = corpus_dir / "ws"
+    for argv in (
+        loop_argv(corpus_dir),
+        ["synth", corpus_dir / "train.jsonl", "--workspace", ws, "--mock",
+         "--out", ws / "synth.jsonl"],
+        ["classify", ws / "synth.jsonl", "--workspace", ws, "--mock",
+         "--out", ws / "classify"],
+    ):
+        before = len(fan_out_widths)
+        assert run_cli(argv, capsys)[0] == 0
+        assert len(fan_out_widths) > before, argv[0]
+        assert set(fan_out_widths[before:]) == {1}, argv[0]
+
+
+def test_http_stack_fans_out_at_eight(tmp_path):
+    endpoints = {name: EndpointConfig(base_url="http://127.0.0.1:9")
+                 for name in ("tts", "translate", "score")}
+    with build_stack(RunConfig(endpoints=endpoints), tmp_path) as stack:
+        assert stack.max_in_flight == 8
+
+
+def test_fan_out_width_has_no_default():
+    # the stack owns the width; every fan-out takes it from its caller
+    for fn in (run_batch, run_acquisition, run_refinement, run_evaluation, run_loop,
+               wire_stack):
+        param = inspect.signature(fn).parameters["max_in_flight"]
+        assert param.default is inspect.Parameter.empty, fn.__name__

@@ -119,7 +119,8 @@ def run(ws, meter, on_phase=None):
 
     return run_loop(
         train, evals, POOL, config, backends, str(ws),
-        update_hook=meter.hook, version=stack.version, on_phase=observe,
+        update_hook=meter.hook, version=stack.version,
+        max_in_flight=stack.max_in_flight, on_phase=observe,
     )
 
 

@@ -85,7 +85,7 @@ LOADING_PATHS = {
     "csv": lambda tmp: "evoloop.cli.main(['report', 'rounds', '--workspace',"
                        f" {_rounds_workspace(tmp)!r}, '--csv', {str(tmp / 'r.csv')!r}])",
     "concurrent.futures": lambda tmp: "from evoloop.backends import run_batch\n"
-                                      "run_batch([lambda: 1])",
+                                      "run_batch([lambda: 1], max_in_flight=1)",
     "wave": lambda tmp: "from evoloop.backends.mock import MockTts\n"
                         f"MockTts({str(tmp)!r}).tts({{'text': 'a', 'voice_id': 'v'}})",
 }

@@ -51,6 +51,8 @@ from evoloop.mockstack import build_mock_stack
 from helpers import EchoTranslator
 
 POOL = ["voice-a", "voice-b", "voice-c", "voice-d", "voice-e"]
+# the phase tests below run their calls on several threads, as an HTTP stack does
+WIDTH = 8
 
 
 def make_samples(n, src="eng", tgt="khm", reference_equals_text=True):
@@ -157,7 +159,7 @@ class TestAcquisition:
     def test_populates_synthetic_audio(self, tmp_path):
         config = EvolutionConfig(seed=5)
         samples = make_samples(8)
-        out = run_acquisition(samples, POOL, config, tts_client(tmp_path))
+        out = run_acquisition(samples, POOL, config, tts_client(tmp_path), max_in_flight=WIDTH)
         assert len(out) == 8
         for before, after in zip(samples, out):
             audio = after.synthetic_audio
@@ -169,8 +171,10 @@ class TestAcquisition:
     def test_voice_assignment_order_independent(self, tmp_path):
         config = EvolutionConfig(seed=5)
         samples = make_samples(12)
-        forward = run_acquisition(samples, POOL, config, tts_client(tmp_path))
-        backward = run_acquisition(samples[::-1], POOL, config, tts_client(tmp_path))
+        forward = run_acquisition(samples, POOL, config, tts_client(tmp_path), max_in_flight=WIDTH)
+        backward = run_acquisition(
+            samples[::-1], POOL, config, tts_client(tmp_path), max_in_flight=WIDTH
+        )
         by_id = {s.id: s.synthetic_audio.voice_id for s in backward}
         for s in forward:
             assert by_id[s.id] == s.synthetic_audio.voice_id
@@ -180,8 +184,8 @@ class TestAcquisition:
 
         config = EvolutionConfig(seed=9)
         samples = make_samples(10)
-        a = run_acquisition(samples, POOL, config, tts_client(tmp_path / "a"))
-        b = run_acquisition(samples, POOL, config, tts_client(tmp_path / "b"))
+        a = run_acquisition(samples, POOL, config, tts_client(tmp_path / "a"), max_in_flight=WIDTH)
+        b = run_acquisition(samples, POOL, config, tts_client(tmp_path / "b"), max_in_flight=WIDTH)
         pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         save_manifest(a, pa)
         save_manifest(b, pb)
@@ -192,7 +196,7 @@ class TestAcquisition:
         base = make_samples(1)[0]
         authentic = AudioRef("audio/real.wav", 4.2, 16000, AudioOrigin.AUTHENTIC)
         sample = Sample(**{**base.__dict__, "authentic_audio": authentic})
-        (out,) = run_acquisition([sample], POOL, config, tts_client(tmp_path))
+        (out,) = run_acquisition([sample], POOL, config, tts_client(tmp_path), max_in_flight=WIDTH)
         # mock duration equals the requested target
         assert out.synthetic_audio.duration_s == pytest.approx(4.2)
 
@@ -201,7 +205,7 @@ class TestAcquisition:
         base = make_samples(1)[0]
         long_authentic = AudioRef("audio/long.wav", 31.0, 16000, AudioOrigin.AUTHENTIC)
         sample = Sample(**{**base.__dict__, "authentic_audio": long_authentic})
-        (out,) = run_acquisition([sample], POOL, config, tts_client(tmp_path))
+        (out,) = run_acquisition([sample], POOL, config, tts_client(tmp_path), max_in_flight=WIDTH)
         assert out.degraded
         assert out.synthetic_audio.duration_s == pytest.approx(31.0)
 
@@ -210,20 +214,26 @@ class TestAcquisition:
         client = tts_client(tmp_path, known_voices=frozenset(["voice-a"]))
         samples = make_samples(20)
         with pytest.raises(FailureBudgetExceeded):
-            run_acquisition(samples, POOL, config, client)
+            run_acquisition(samples, POOL, config, client, max_in_flight=WIDTH)
 
     def test_empty_pool_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            run_acquisition(make_samples(1), [], EvolutionConfig(), tts_client(tmp_path))
+            run_acquisition(
+                make_samples(1), [], EvolutionConfig(), tts_client(tmp_path), max_in_flight=WIDTH
+            )
 
     def test_empty_samples_ok(self, tmp_path):
-        assert run_acquisition([], POOL, EvolutionConfig(), tts_client(tmp_path)) == []
+        assert run_acquisition(
+            [], POOL, EvolutionConfig(), tts_client(tmp_path), max_in_flight=WIDTH
+        ) == []
 
 
 # --- refinement ---------------------------------------------------------------
 
 def acquire(tmp_path, samples, seed=5):
-    return run_acquisition(samples, POOL, EvolutionConfig(seed=seed), tts_client(tmp_path))
+    return run_acquisition(
+        samples, POOL, EvolutionConfig(seed=seed), tts_client(tmp_path), max_in_flight=WIDTH
+    )
 
 
 class TestRefinement:
@@ -233,7 +243,9 @@ class TestRefinement:
         sample = Sample.build("eng", "khm", "alpha beta gamma", "alpha beta gamma")
         acquired = acquire(tmp_path, [sample])
         translate, score = simple_clients(tmp_path)
-        (scored,) = run_refinement(acquired, EvolutionConfig(), translate, score)
+        (scored,) = run_refinement(
+            acquired, EvolutionConfig(), translate, score, max_in_flight=WIDTH
+        )
         assert scored.s1 == pytest.approx(0.8)
         assert scored.s2 == pytest.approx(1.0)
         assert scored.label is Label.POSITIVE
@@ -242,7 +254,9 @@ class TestRefinement:
         sample = Sample.build("eng", "khm", "alpha beta gamma", "alpha beta gamma")
         acquired = acquire(tmp_path, [sample])
         translate, score = simple_clients(tmp_path, translator=EchoTranslator())
-        (scored,) = run_refinement(acquired, EvolutionConfig(), translate, score)
+        (scored,) = run_refinement(
+            acquired, EvolutionConfig(), translate, score, max_in_flight=WIDTH
+        )
         assert scored.s1 == scored.s2
         assert scored.label is Label.NEGATIVE
 
@@ -253,13 +267,15 @@ class TestRefinement:
             acquired[1].synthetic_audio, degraded=True
         )
         translate, score = simple_clients(tmp_path)
-        scored = run_refinement(acquired, EvolutionConfig(), translate, score)
+        scored = run_refinement(acquired, EvolutionConfig(), translate, score, max_in_flight=WIDTH)
         assert [s.sample_id for s in scored] == [acquired[0].id, acquired[2].id]
 
     def test_missing_audio(self, tmp_path):
         translate, score = simple_clients(tmp_path)
         with pytest.raises(MissingAudio):
-            run_refinement(make_samples(1), EvolutionConfig(), translate, score)
+            run_refinement(
+                make_samples(1), EvolutionConfig(), translate, score, max_in_flight=WIDTH
+            )
 
     def test_speech_source_selection(self, tmp_path):
         base = make_samples(1)[0]
@@ -275,11 +291,13 @@ class TestRefinement:
         (scored,) = run_refinement(
             [both], EvolutionConfig(speech_source=SpeechSource.PREFER_AUTHENTIC),
             translate, score,
+            max_in_flight=WIDTH,
         )
         assert scored.speech_used is SpeechUsed.AUTHENTIC
         (scored,) = run_refinement(
             [both], EvolutionConfig(speech_source=SpeechSource.PREFER_SYNTHETIC),
             translate, score,
+            max_in_flight=WIDTH,
         )
         assert scored.speech_used is SpeechUsed.SYNTHETIC
 
@@ -289,14 +307,15 @@ class TestRefinement:
         (scored,) = run_refinement(
             acquired, EvolutionConfig(speech_source=SpeechSource.PREFER_AUTHENTIC),
             translate, score,
+            max_in_flight=WIDTH,
         )
         assert scored.speech_used is SpeechUsed.SYNTHETIC
 
     def test_deterministic(self, tmp_path):
         acquired = acquire(tmp_path, make_samples(6))
         translate, score = simple_clients(tmp_path)
-        a = run_refinement(acquired, EvolutionConfig(), translate, score)
-        b = run_refinement(acquired, EvolutionConfig(), translate, score)
+        a = run_refinement(acquired, EvolutionConfig(), translate, score, max_in_flight=WIDTH)
+        b = run_refinement(acquired, EvolutionConfig(), translate, score, max_in_flight=WIDTH)
         assert a == b
 
 
@@ -420,14 +439,16 @@ class TestEvaluation:
         lookup = LookupTranslator({("smt", s.text): s.reference for s in samples})
         scorer = ScheduledScorer([0.8], version_provider=lambda: 0)
         cache = ContentCache(tmp_path / "cache")
-        score = run_evaluation(
+        score, by_direction = run_evaluation(
             samples,
             EvolutionConfig(fixed_eval_voice="narrator"),
             TtsClient(MockTts(str(tmp_path)), cache),
             TranslateClient(lookup, cache),
             ScoreClient(scorer, cache),
+            max_in_flight=WIDTH,
         )
         assert score == pytest.approx(0.8)
+        assert by_direction == {"eng-khm": pytest.approx(0.8)}
 
     def test_mean_matches_brute_force(self, tmp_path):
         from evoloop.backends.mock import token_f1
@@ -439,12 +460,13 @@ class TestEvaluation:
             ref = text if i % 2 == 0 else f"different reference {i}"
             samples.append(Sample.build("eng", tgt, text, ref))
         cache = ContentCache(tmp_path / "cache")
-        score = run_evaluation(
+        score, _ = run_evaluation(
             samples,
             EvolutionConfig(fixed_eval_voice="narrator"),
             TtsClient(MockTts(str(tmp_path)), cache),
             TranslateClient(EchoTranslator(), cache),
             ScoreClient(MockScorer(), cache),
+            max_in_flight=WIDTH,
         )
         expected = sum(token_f1(s.text, s.reference) for s in samples) / len(samples)
         assert score == pytest.approx(expected, abs=1e-12)
@@ -461,6 +483,7 @@ class TestEvaluation:
             TtsClient(recorder, cache),
             TranslateClient(EchoTranslator(), cache),
             ScoreClient(MockScorer(), cache),
+            max_in_flight=WIDTH,
         )
         assert len(recorder.payloads) == 4
         for payload in recorder.payloads:
@@ -476,6 +499,7 @@ class TestEvaluation:
                 TtsClient(MockTts(str(tmp_path)), cache),
                 TranslateClient(EchoTranslator(), cache),
                 ScoreClient(MockScorer(), cache),
+                max_in_flight=WIDTH,
             )
 
     def test_missing_fixed_voice(self, tmp_path):
@@ -486,6 +510,7 @@ class TestEvaluation:
                 TtsClient(MockTts(str(tmp_path)), cache),
                 TranslateClient(EchoTranslator(), cache),
                 ScoreClient(MockScorer(), cache),
+                max_in_flight=WIDTH,
             )
 
 
@@ -510,7 +535,7 @@ class TestFailuresWithinBudget:
         failed = acquired[7]
         translate, _ = simple_clients(tmp_path)
         score = ScoreClient(FailingScorer([failed.text]), ContentCache(tmp_path / "c2"))
-        scored = run_refinement(acquired, EvolutionConfig(), translate, score)
+        scored = run_refinement(acquired, EvolutionConfig(), translate, score, max_in_flight=WIDTH)
         assert [s.sample_id for s in scored] == [s.id for s in acquired if s is not failed]
         assert f"refinement failed for {failed.id}" in caplog.text
 
@@ -520,7 +545,7 @@ class TestFailuresWithinBudget:
         scorer = FailingScorer([acquired[3].text, acquired[15].text])
         score = ScoreClient(scorer, ContentCache(tmp_path / "c2"))
         with pytest.raises(FailureBudgetExceeded):
-            run_refinement(acquired, EvolutionConfig(), translate, score)
+            run_refinement(acquired, EvolutionConfig(), translate, score, max_in_flight=WIDTH)
 
     def _eval_samples(self):
         samples = []
@@ -539,7 +564,7 @@ class TestFailuresWithinBudget:
             TtsClient(MockTts(str(tmp_path)), cache),
             TranslateClient(EchoTranslator(), cache),
             ScoreClient(FailingScorer(failing), cache),
-            by_direction=True,
+            max_in_flight=WIDTH,
         )
 
     def test_evaluation_means_cover_only_survivors(self, tmp_path, caplog):
@@ -690,6 +715,7 @@ class TestRunLoop:
         history = run_loop(
             train, eval_samples, POOL, config, stack.backends,
             str(tmp_path / "ws"), version=stack.version,
+            max_in_flight=stack.max_in_flight,
         )
         assert len(history) == 1
         assert history[0].status is RoundStatus.MAX_ROUNDS
@@ -700,6 +726,7 @@ class TestRunLoop:
         history = run_loop(
             train, eval_samples, POOL, config, stack.backends, str(ws),
             version=stack.version,
+            max_in_flight=stack.max_in_flight,
         )
         assert [r.status for r in history] == [
             RoundStatus.IMPROVED,
@@ -721,6 +748,7 @@ class TestRunLoop:
         history = run_loop(
             train, eval_samples, POOL, config, stack.backends, str(ws),
             version=stack.version,
+            max_in_flight=stack.max_in_flight,
         )
         ledger = json.loads((ws / "journal.json").read_text())
         best = ledger["baseline"]
@@ -734,6 +762,7 @@ class TestRunLoop:
         history = run_loop(
             train, eval_samples, POOL, config, stack.backends, str(ws),
             version=stack.version,
+            max_in_flight=stack.max_in_flight,
         )
         for state in history:
             rdir = ws / "rounds" / str(state.round_index)
@@ -759,6 +788,7 @@ class TestRunLoop:
             run_loop(
                 train, eval_samples, POOL, config, stack.backends, str(ws),
                 version=stack.version,
+                max_in_flight=stack.max_in_flight,
             )
             tree = {}
             for path in sorted((ws / "rounds").rglob("*")):
@@ -776,6 +806,7 @@ class TestRunLoop:
         run_loop(
             train, eval_samples, POOL, config, stack_a.backends, str(ws_a),
             version=stack_a.version,
+            max_in_flight=stack_a.max_in_flight,
         )
 
         train_b, eval_b, config_b, stack_b = loop_fixture(ws_b)
@@ -788,6 +819,7 @@ class TestRunLoop:
             run_loop(
                 train_b, eval_b, POOL, config_b, stack_b.backends, str(ws_b),
                 version=stack_b.version, on_phase=kill_after,
+                max_in_flight=stack_b.max_in_flight,
             )
 
         # fresh clients, same workspace and cache directory
@@ -799,6 +831,7 @@ class TestRunLoop:
             train_c, eval_c, POOL, config_c, stack_c.backends, str(ws_b),
             version=stack_c.version,
             on_phase=lambda k, phase, source: sources.setdefault((k, phase), source),
+            max_in_flight=stack_c.max_in_flight,
         )
         assert [r.status for r in history][-1] is RoundStatus.CONVERGED
 
@@ -829,6 +862,7 @@ class TestRunLoop:
         first = run_loop(
             train, eval_samples, POOL, config, stack.backends, str(ws),
             version=stack.version,
+            max_in_flight=stack.max_in_flight,
         )
         train2, eval2, config2, stack2 = loop_fixture(ws)
         sources = []
@@ -837,6 +871,7 @@ class TestRunLoop:
             train2, eval2, POOL, config2, stack2.backends, str(ws),
             version=stack2.version,
             on_phase=lambda k, phase, source: sources.append(source),
+            max_in_flight=stack2.max_in_flight,
         )
         assert second == first
         assert sources and all(source == "journal" for source in sources)
@@ -854,6 +889,7 @@ class TestRunLoop:
         run_loop(
             train, eval_samples, POOL, config, stack.backends, str(ws),
             version=stack.version,
+            max_in_flight=stack.max_in_flight,
         )
         ledger = json.loads((ws / "journal.json").read_text())
         assert sorted(
@@ -867,6 +903,7 @@ class TestRunLoop:
             run_loop(
                 train2, eval2, POOL, config2, stack2.backends, str(ws),
                 version=stack2.version,
+                max_in_flight=stack2.max_in_flight,
             )
         for backend in (stack2.tts_backend, stack2.translate_backend, stack2.score_backend):
             assert backend.calls.count == 0
@@ -877,6 +914,7 @@ class TestRunLoop:
         run_loop(
             train, eval_samples, POOL, config, stack.backends, str(ws),
             version=stack.version,
+            max_in_flight=stack.max_in_flight,
         )
         train2, eval2, config2, stack2 = loop_fixture(ws)
         changed = EvolutionConfig(**{**config2.to_json(), "seed": 99})
@@ -884,6 +922,7 @@ class TestRunLoop:
             run_loop(
                 train2, eval2, POOL, changed, stack2.backends, str(ws),
                 version=stack2.version,
+                max_in_flight=stack2.max_in_flight,
             )
 
     def test_unreadable_ledger_is_corrupt(self, tmp_path):
@@ -892,6 +931,7 @@ class TestRunLoop:
         run_loop(
             train, eval_samples, POOL, config, stack.backends, str(ws),
             version=stack.version,
+            max_in_flight=stack.max_in_flight,
         )
         (ws / "journal.json").write_text("{broken", encoding="utf-8")
         train2, eval2, config2, stack2 = loop_fixture(ws)
@@ -899,6 +939,7 @@ class TestRunLoop:
             run_loop(
                 train2, eval2, POOL, config2, stack2.backends, str(ws),
                 version=stack2.version,
+                max_in_flight=stack2.max_in_flight,
             )
 
     def test_ledger_without_format_marker_is_corrupt(self, tmp_path):
@@ -909,6 +950,7 @@ class TestRunLoop:
         run_loop(
             train, eval_samples, POOL, config, stack.backends, str(ws),
             version=stack.version,
+            max_in_flight=stack.max_in_flight,
         )
         ledger = json.loads((ws / "journal.json").read_text())
         del ledger["format"]
@@ -918,6 +960,7 @@ class TestRunLoop:
             run_loop(
                 train2, eval2, POOL, config2, stack2.backends, str(ws),
                 version=stack2.version,
+                max_in_flight=stack2.max_in_flight,
             )
         assert stack2.tts_backend.calls.count == 0
 
@@ -928,6 +971,7 @@ class TestRunLoop:
         history = run_loop(
             train, eval_samples, POOL, config, stack.backends, str(ws),
             update_hook=seen.append, version=stack.version,
+            max_in_flight=stack.max_in_flight,
         )
         assert len(seen) == len(history)
         for k, path in enumerate(seen, start=1):
@@ -944,6 +988,7 @@ class TestRunLoop:
         history = run_loop(
             train, eval_samples, POOL, config, stack.backends, str(ws),
             update_hook=hook, version=stack.version,
+            max_in_flight=stack.max_in_flight,
         )
         assert len(history) == 1
 
@@ -955,6 +1000,7 @@ class TestRunLoop:
             run_loop(
                 train, eval_samples, POOL, config, stack.backends, str(ws),
                 update_hook=hook, version=stack.version,
+                max_in_flight=stack.max_in_flight,
             )
         assert err.value.returncode == 3
         assert not (ws / "rounds" / "1" / "state.json").exists()
@@ -968,6 +1014,7 @@ class TestRunLoop:
         history = run_loop(
             train, eval_samples, POOL, config, stack.backends, str(ws),
             version=stack.version,
+            max_in_flight=stack.max_in_flight,
         )
         state = history[0]
         assert state.n_positive == 0
@@ -993,6 +1040,7 @@ class TestRunLoop:
         history = run_loop(
             train, eval_samples, POOL, config, stack.backends, str(ws),
             version=stack.version,
+            max_in_flight=stack.max_in_flight,
         )
         for state in history:
             rdir = ws / "rounds" / str(state.round_index)
@@ -1010,4 +1058,5 @@ class TestRunLoop:
         ws = tmp_path / "ws"
         _, eval_samples, config, stack = loop_fixture(ws)
         with pytest.raises(EmptyInput):
-            run_loop([], eval_samples, POOL, config, stack.backends, str(ws))
+            run_loop([], eval_samples, POOL, config, stack.backends, str(ws),
+                     max_in_flight=stack.max_in_flight)

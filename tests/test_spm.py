@@ -308,13 +308,6 @@ class TestWordChunkedDecode:
         want = exhaustive_best_score(norm, table.pieces, table.unk_logprob)
         assert spans_score(norm, spans, table) == pytest.approx(want, abs=1e-9)
 
-    @settings(max_examples=100, deadline=None)
-    @given(word_local_tables(DECIMAL), st.lists(WORDS, min_size=1, max_size=6))
-    def test_shared_memo_changes_nothing(self, table, texts):
-        memo = {}
-        for text in texts:
-            assert sp_segment_spans(text, table, memo) == sp_segment_spans(text, table)
-
 
 def pieces_from_spans(text, table):
     norm, spans, _ = sp_segment_spans(text, table)

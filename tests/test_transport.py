@@ -251,7 +251,8 @@ def test_base_url_must_be_http(url):
 
 def test_stack_exit_closes_transport_connections(server, transports, tmp_path):
     transport = transports(base_url(server))
-    with wire_stack(str(tmp_path), ModelVersion(0), transport, transport, transport):
+    with wire_stack(str(tmp_path), ModelVersion(0), transport, transport, transport,
+                    max_in_flight=1):
         assert transport.score({"i": 0}) == {"echo": {"i": 0}}
         assert not server.state["closed"].is_set()
     assert server.state["closed"].wait(timeout=5)
