@@ -49,33 +49,33 @@ class BatchResult:
     error: Exception | None = None
 
 
+def _run_one(task: Callable[[], Any]) -> BatchResult:
+    try:
+        return BatchResult(ok=True, value=task())
+    except Exception as exc:  # noqa: BLE001 - per-item error channel
+        return BatchResult(ok=False, error=exc)
+
+
 def run_batch(
     tasks: Sequence[Callable[[], Any]], max_in_flight: int
 ) -> list[BatchResult]:
     """Run each task once, at most max_in_flight at a time; results come
     back in input order regardless of completion order. Failures are
-    carried per item, never raised out of the pool. Retry belongs to the
-    clients.
+    carried per item, never raised out of the batch. At width 1 the tasks
+    run in the calling thread, in order, and no pool is started. Retry
+    belongs to the clients.
     """
     if max_in_flight < 1:
         raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
-    if not tasks:
-        return []
+    if max_in_flight == 1 or not tasks:
+        return [_run_one(task) for task in tasks]
     from concurrent.futures import ThreadPoolExecutor
 
-    def run_one(task: Callable[[], Any]) -> BatchResult:
-        try:
-            return BatchResult(ok=True, value=task())
-        except Exception as exc:  # noqa: BLE001 - per-item error channel
-            return BatchResult(ok=False, error=exc)
-
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        return list(pool.map(run_one, tasks))
+        return list(pool.map(_run_one, tasks))
 
 
-def enforce_failure_budget(
-    results: Sequence[BatchResult], budget: float = DEFAULT_FAILURE_BUDGET
-) -> None:
+def enforce_failure_budget(results: Sequence[BatchResult], budget: float) -> None:
     """Raise when the failed fraction exceeds the budget.
 
     Silent sample loss would bias anything computed downstream of the batch,

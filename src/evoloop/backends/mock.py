@@ -62,14 +62,8 @@ class CallCounter:
 class MockTts:
     """Writes tiny 16 kHz mono PCM16 WAV stubs under the workspace."""
 
-    def __init__(
-        self,
-        workspace: str | Path,
-        duration_override: Callable[[str], float] | None = None,
-        known_voices: frozenset[str] | None = None,
-    ):
+    def __init__(self, workspace: str | Path, known_voices: frozenset[str] | None = None):
         self.workspace = Path(workspace)
-        self.duration_override = duration_override
         self.known_voices = known_voices
         self.calls = CallCounter()
 
@@ -81,9 +75,7 @@ class MockTts:
             raise PermanentBackendError(400, "empty-text", "nothing to synthesize")
         if self.known_voices is not None and voice_id not in self.known_voices:
             raise PermanentBackendError(400, "unknown-voice", voice_id)
-        if self.duration_override is not None:
-            duration_s = self.duration_override(text)
-        elif payload.get("target_duration_s") is not None:
+        if payload.get("target_duration_s") is not None:
             duration_s = float(payload["target_duration_s"])
         else:
             duration_s = len(text) / CHARS_PER_SECOND

@@ -58,7 +58,7 @@ from .evolution import (
 )
 from .evolution.journal import write_json
 from .evolution.loop import run_loop
-from .evolution.phases import _pick_audio  # shared audio-choice rule
+from .evolution.phases import _fan_out, _pick_audio  # the phases' fan-out and audio rule
 from .metrics.aggregate import (
     DirectionScore,
     aggregate_by_resource,
@@ -459,16 +459,15 @@ def cmd_translate(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome
     samples = _load_samples(args.manifest, cfg.strict_manifests)
     mode = args.mode
     out = Path(args.out) if args.out else ws / f"hyp.{mode}.jsonl"
-    rows = []
     with build_stack(cfg, ws, samples) as stack:
-        for sample in samples:
-            audio = None
-            if mode == "smt":
-                audio, _ = _pick_audio(sample, cfg.evolution.speech_source)
-            hyp = stack.backends.translate.translate(mode, sample.text, audio,
-                                                     sample.direction)
-            rows.append({"id": sample.id, "text": hyp.text})
-    write_jsonl(out, rows)
+        client = stack.backends.translate
+
+        def make_task(sample: Sample):
+            audio = _pick_audio(sample, cfg.evolution.speech_source)[0] if mode == "smt" else None
+            return lambda: client.translate(mode, sample.text, audio, sample.direction).text
+
+        hyps = _fan_out("translation", samples, make_task, stack.max_in_flight, budget=0.0)
+    write_jsonl(out, ({"id": s.id, "text": text} for s, text in hyps))
     print(f"translated {len(samples)} samples in {mode} mode -> {out}")
     payload = {
         "command": "translate",
@@ -479,15 +478,24 @@ def cmd_translate(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome
     return 0, payload
 
 
+def _scores(stack, samples: Sequence[Sample], hyps: Dict[str, str]) -> List[float]:
+    """Each sample's score for its hypothesis, in input order. A command
+    allows no failures: one failed sample fails it."""
+    client = stack.backends.score
+
+    def make_task(sample: Sample):
+        return lambda: client.score(sample.text, hyps[sample.id], sample.reference)
+
+    scored = _fan_out("scoring", samples, make_task, stack.max_in_flight, budget=0.0)
+    return [value for _, value in scored]
+
+
 def cmd_score(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
     samples = _load_samples(args.manifest, cfg.strict_manifests)
     hyps = _load_hypotheses(args.hyp, samples)
     out = Path(args.out) if args.out else ws / "scores.jsonl"
     with build_stack(cfg, ws, samples) as stack:
-        values = [
-            stack.backends.score.score(sample.text, hyps[sample.id], sample.reference)
-            for sample in samples
-        ]
+        values = _scores(stack, samples, hyps)
     write_jsonl(out, ({"id": s.id, "score": v} for s, v in zip(samples, values)))
     mean = sum(values) / len(values) if values else 0.0
     print(f"scored {len(values)} hypotheses, mean {mean:.4f} -> {out}")
@@ -545,9 +553,7 @@ def _evaluate_rows(args, cfg: RunConfig, ws: Path) -> List[DirectionScore]:
             hyp_texts = [hyps[s.id] for s in group]
             refs = [s.reference for s in group]
             spbleu = corpus_spbleu(hyp_texts, refs, table, smoothing=cfg.smoothing)
-            comet = sum(
-                stack.backends.score.score(s.text, hyps[s.id], s.reference) for s in group
-            ) / len(group)
+            comet = sum(_scores(stack, group, hyps)) / len(group)
             rows.append(
                 DirectionScore(
                     direction=direction,

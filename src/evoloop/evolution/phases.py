@@ -17,7 +17,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .. import curriculum
 from ..atomic import write_jsonl
-from ..backends.batch import enforce_failure_budget, run_batch
+from ..backends.batch import DEFAULT_FAILURE_BUDGET, enforce_failure_budget, run_batch
 from ..corpus import AudioRef, Sample
 from ..errors import DurationOverrun, EmptyEvalSet, EmptyInput, MissingAudio
 from .journal import write_json
@@ -68,12 +68,15 @@ def _fan_out(
     samples: Sequence[Sample],
     make_task: Callable[[Sample], Callable[[], Any]],
     max_in_flight: int,
+    budget: float,
 ) -> List[Tuple[Sample, Any]]:
     """Run one task per sample, once each, and keep the survivors.
 
-    Each failure is logged with its sample id and dropped; more failures
-    than the failure budget allows raise FailureBudgetExceeded. Returns
-    (sample, value) pairs in input order.
+    Every task is made before any runs. Each failure is logged with its
+    sample id and dropped; a failed share over `budget` raises
+    FailureBudgetExceeded. The phases allow DEFAULT_FAILURE_BUDGET; a
+    standalone command allows 0.0, so one failed sample fails it.
+    Returns (sample, value) pairs in input order.
     """
     samples = list(samples)
     results = run_batch([make_task(s) for s in samples], max_in_flight=max_in_flight)
@@ -83,7 +86,7 @@ def _fan_out(
             survivors.append((sample, result.value))
         else:
             log.warning("%s failed for %s: %s", what, sample.id, result.error)
-    enforce_failure_budget(results)
+    enforce_failure_budget(results, budget)
     return survivors
 
 
@@ -121,7 +124,9 @@ def run_acquisition(
 
         return work
 
-    return [out for _, out in _fan_out("synthesis", samples, make_task, max_in_flight)]
+    acquired = _fan_out("synthesis", samples, make_task, max_in_flight,
+                        budget=DEFAULT_FAILURE_BUDGET)
+    return [out for _, out in acquired]
 
 
 def _pick_audio(sample: Sample, source: SpeechSource) -> Tuple[AudioRef, SpeechUsed]:
@@ -176,7 +181,9 @@ def run_refinement(
 
         return work
 
-    return [item for _, item in _fan_out("refinement", active, make_task, max_in_flight)]
+    scored = _fan_out("refinement", active, make_task, max_in_flight,
+                      budget=DEFAULT_FAILURE_BUDGET)
+    return [item for _, item in scored]
 
 
 @dataclass(frozen=True)
@@ -276,7 +283,8 @@ def run_evaluation(
 
         return work
 
-    scored = _fan_out("evaluation", eval_samples, make_task, max_in_flight)
+    scored = _fan_out("evaluation", eval_samples, make_task, max_in_flight,
+                      budget=DEFAULT_FAILURE_BUDGET)
     values = [value for _, value in scored]
     per_direction: dict = {}
     for sample, value in scored:

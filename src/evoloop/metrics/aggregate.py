@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..corpus import ResourceLevel, resource_level
 from ..errors import EmptyInput
@@ -47,16 +47,12 @@ def average_directions(rows: Sequence[DirectionScore]) -> tuple[float, float]:
 
 def aggregate_by_resource(
     rows: Sequence[DirectionScore],
-    taxonomy: Mapping[str, ResourceLevel] | None = None,
 ) -> dict[ResourceLevel, tuple[float, float]]:
     """Group rows by the target language's resource level; mean per group.
 
-    Groups nothing maps to are omitted. A custom taxonomy (code -> level)
-    overrides the built-in one.
+    Groups nothing maps to are omitted.
     """
     groups: dict[ResourceLevel, list[DirectionScore]] = {}
     for row in rows:
-        tgt = row.direction[1]
-        level = taxonomy[tgt] if taxonomy is not None else resource_level(tgt)
-        groups.setdefault(level, []).append(row)
+        groups.setdefault(resource_level(row.direction[1]), []).append(row)
     return {level: average_directions(members) for level, members in groups.items()}

@@ -45,15 +45,13 @@ class BleuResult:
 
 
 def _resolve_tokenizer(tokenizer) -> Callable[[str], list[str]]:
-    if tokenizer is None or tokenizer == "13a":
+    if tokenizer == "13a":
         return tokenize_13a
     if isinstance(tokenizer, PieceTable):
         table = tokenizer
         # one memo per corpus, so it holds only the words being scored
         memo: dict = {}
         return lambda text: sp_segment(text, table, memo)
-    if callable(tokenizer):
-        return tokenizer
     raise ValueError(f"unsupported tokenizer: {tokenizer!r}")
 
 
@@ -138,8 +136,7 @@ def corpus_bleu(
 ) -> BleuResult:
     """Corpus-level BLEU with one reference per hypothesis.
 
-    tokenizer: "13a" (default), a PieceTable (spBLEU), or any callable
-    mapping a string to a token list.
+    tokenizer: "13a" (default) or a PieceTable (spBLEU).
     """
     if len(hypotheses) != len(references):
         raise LengthMismatch(len(hypotheses), len(references))

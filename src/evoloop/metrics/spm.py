@@ -47,12 +47,7 @@ class PieceTable:
     __slots__ = ("pieces", "unk_piece", "unk_logprob", "space_marker", "max_piece_len",
                  "word_local")
 
-    def __init__(
-        self,
-        pieces: Mapping[str, float],
-        unk_logprob: float | None = None,
-        unk_piece: str = "<unk>",
-    ):
+    def __init__(self, pieces: Mapping[str, float], unk_logprob: float | None = None):
         if not pieces:
             raise PieceTableError("piece table is empty")
         clean = {piece: _check_piece(piece, logprob) for piece, logprob in pieces.items()}
@@ -61,7 +56,7 @@ class PieceTable:
         if not math.isfinite(unk_logprob) or unk_logprob > 0.0:
             raise PieceTableError(f"unk logprob must be finite and <= 0, got {unk_logprob}")
         self.pieces = clean
-        self.unk_piece = unk_piece
+        self.unk_piece = "<unk>"
         self.unk_logprob = float(unk_logprob)
         self.space_marker = SPACE_MARKER
         self.max_piece_len = max(len(p) for p in clean)

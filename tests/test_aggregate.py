@@ -102,8 +102,3 @@ class TestAggregateByResource:
     def test_unknown_target_rejected(self):
         with pytest.raises(UnknownLanguage):
             aggregate_by_resource([DirectionScore(("eng", "xxx"), 1.0, 1.0, 1)])
-
-    def test_custom_taxonomy_wins(self):
-        rows = [row("eng", "deu", 10.0, 20.0)]
-        got = aggregate_by_resource(rows, taxonomy={"deu": ResourceLevel.LOW})
-        assert set(got) == {ResourceLevel.LOW}

@@ -79,11 +79,6 @@ class FlakyWrapper:
         return call
 
 
-def duration_overrun_tts(workspace, duration_s: float = 31.0) -> MockTts:
-    """TTS that always reports the given duration; for ceiling tests."""
-    return MockTts(workspace, duration_override=lambda text: duration_s)
-
-
 def stored_texts(root) -> dict:
     """(endpoint, namespace, key) -> response text, read past the cache."""
     db = sqlite3.connect(Path(root) / "responses.db")
@@ -251,24 +246,24 @@ class TestMockTts:
             assert wav.getframerate() == 16000
 
     def test_duration_overrun_carries_audio(self, tmp_path, cache):
-        client = TtsClient(duration_overrun_tts(tmp_path, 31.0), cache, sleep=no_sleep)
+        client = TtsClient(MockTts(tmp_path), cache, sleep=no_sleep)
         with pytest.raises(DurationOverrun) as exc:
-            client.synthesize("a long recording", "v1")
+            client.synthesize("a long recording", "v1", target_duration_s=31.0)
         assert exc.value.audio.duration_s == 31.0
         assert exc.value.limit_s == 30.0
         assert exc.value.audio.uri.endswith(".wav")
 
     def test_overrun_repeat_is_cache_hit(self, tmp_path, cache):
-        backend = duration_overrun_tts(tmp_path, 31.0)
+        backend = MockTts(tmp_path)
         client = TtsClient(backend, cache, sleep=no_sleep)
         for _ in range(2):
             with pytest.raises(DurationOverrun):
-                client.synthesize("same text", "v1")
+                client.synthesize("same text", "v1", target_duration_s=31.0)
         assert backend.calls.count == 1
 
     def test_exactly_30s_is_allowed(self, tmp_path, cache):
-        client = TtsClient(duration_overrun_tts(tmp_path, 30.0), cache, sleep=no_sleep)
-        audio = client.synthesize("text", "v1")
+        client = TtsClient(MockTts(tmp_path), cache, sleep=no_sleep)
+        audio = client.synthesize("text", "v1", target_duration_s=30.0)
         assert audio.duration_s == 30.0
 
     def test_unknown_voice_rejected(self, tmp_path, cache):

@@ -92,12 +92,16 @@ class TestRunBatch:
         def make_task(i):
             def task():
                 time.sleep(latencies[i])
-                return i
+                return i, threading.get_ident()
             return task
 
-        results = run_batch([make_task(i) for i in range(1000)], max_in_flight=16)
-        assert [r.value for r in results] == list(range(1000))
-        assert all(r.ok for r in results)
+        for width in (1, 4, 16):
+            results = run_batch([make_task(i) for i in range(1000)], max_in_flight=width)
+            assert [r.value[0] for r in results] == list(range(1000)), width
+            assert all(r.ok for r in results), width
+            # width 1 runs every task in the calling thread; wider runs use a pool
+            on_caller = {r.value[1] == threading.get_ident() for r in results}
+            assert on_caller == {width == 1}, width
 
     def test_concurrency_never_exceeds_limit(self):
         lock = threading.Lock()
@@ -116,18 +120,18 @@ class TestRunBatch:
         assert state["peak"] <= 8
 
     def test_item_failures_are_carried_not_raised(self):
-        bad = Flaky(1)
-
         def ugly():
             raise KeyError("missing")
 
-        results = run_batch([lambda: 1, bad, ugly], max_in_flight=3)
-        assert results[0].ok and results[0].value == 1
-        assert not results[1].ok
-        assert isinstance(results[1].error, TransientBackendError)
-        assert bad.calls == 1  # one attempt; retry belongs to the clients
-        assert not results[2].ok
-        assert isinstance(results[2].error, KeyError)
+        for width in (1, 4):
+            bad = Flaky(1)
+            results = run_batch([lambda: 1, bad, ugly], max_in_flight=width)
+            assert results[0].ok and results[0].value == 1
+            assert not results[1].ok
+            assert isinstance(results[1].error, TransientBackendError)
+            assert bad.calls == 1  # one attempt; retry belongs to the clients
+            assert not results[2].ok
+            assert isinstance(results[2].error, KeyError)
 
     def test_bad_limit(self):
         with pytest.raises(ValueError):

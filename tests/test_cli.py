@@ -4,6 +4,7 @@ import argparse
 import csv
 import inspect
 import json
+import logging
 import string
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from evoloop.cli import (
     main,
 )
 from evoloop.corpus import hash_sample
+from evoloop.errors import PermanentBackendError
 from evoloop.evolution import (
     EvolutionConfig,
     run_acquisition,
@@ -972,12 +974,19 @@ def fan_out_widths(monkeypatch):
 
 def test_mock_commands_fan_out_at_width_one(corpus_dir, capsys, fan_out_widths):
     ws = corpus_dir / "ws"
+    table = write_piece_table(corpus_dir / "pieces.tsv")
     for argv in (
         loop_argv(corpus_dir),
         ["synth", corpus_dir / "train.jsonl", "--workspace", ws, "--mock",
          "--out", ws / "synth.jsonl"],
         ["classify", ws / "synth.jsonl", "--workspace", ws, "--mock",
          "--out", ws / "classify"],
+        ["translate", ws / "synth.jsonl", "--workspace", ws, "--mock",
+         "--mode", "smt", "--out", ws / "hyp.jsonl"],
+        ["score", ws / "synth.jsonl", "--hyp", ws / "hyp.jsonl",
+         "--workspace", ws, "--mock"],
+        ["evaluate", ws / "synth.jsonl", "--hyp", ws / "hyp.jsonl",
+         "--piece-table", table, "--workspace", ws, "--mock"],
     ):
         before = len(fan_out_widths)
         assert run_cli(argv, capsys)[0] == 0
@@ -995,6 +1004,68 @@ def test_http_stack_fans_out_at_eight(tmp_path):
 def test_fan_out_width_has_no_default():
     # the stack owns the width; every fan-out takes it from its caller
     for fn in (run_batch, run_acquisition, run_refinement, run_evaluation, run_loop,
-               wire_stack):
+               wire_stack, phases._fan_out):
         param = inspect.signature(fn).parameters["max_in_flight"]
         assert param.default is inspect.Parameter.empty, fn.__name__
+    # and its caller sets the failure budget: the phases' share or a command's none
+    budget = inspect.signature(phases._fan_out).parameters["budget"]
+    assert budget.default is inspect.Parameter.empty
+
+
+def test_translate_refuses_missing_audio_before_any_request(corpus_dir, capsys, monkeypatch):
+    from evoloop.backends.mock import ContrastTranslator
+
+    ws = corpus_dir / "ws"
+    run_cli(["synth", corpus_dir / "train.jsonl", "--workspace", ws, "--mock",
+             "--out", ws / "synth.jsonl"], capsys)
+    rows = [json.loads(line) for line in (ws / "synth.jsonl").read_text().splitlines()]
+    manifest = write_manifest(corpus_dir / "mixed.jsonl", rows + make_rows(1, stem="bare"))
+    calls = []
+    real = ContrastTranslator.translate
+
+    def counted(self, payload):
+        calls.append(payload)
+        return real(self, payload)
+
+    monkeypatch.setattr(ContrastTranslator, "translate", counted)
+    code, err = run_cli_err(
+        ["translate", manifest, "--workspace", ws, "--mock", "--mode", "smt"], capsys)
+    assert code == 1
+    assert "has no usable audio" in err
+    # every task is made before any runs, so the audio check comes first
+    assert calls == []
+    assert not (ws / "hyp.smt.jsonl").exists()
+
+
+def test_score_fails_on_one_failed_sample(corpus_dir, capsys, monkeypatch):
+    from evoloop.backends.mock import MockScorer
+
+    rows = make_rows(6)
+    ids = [hash_sample(r["text"], r["reference"], "eng", "khm") for r in rows]
+    hyp = write_manifest(corpus_dir / "hyp.jsonl", hyp_rows(rows))
+    real = MockScorer.score
+
+    def fail_one(self, payload):
+        if payload["source"] == rows[3]["text"]:
+            raise PermanentBackendError(422, "bad-input", "scripted")
+        return real(self, payload)
+
+    monkeypatch.setattr(MockScorer, "score", fail_one)
+    # no root handlers, as in a plain `evoloop` run: the failed sample's
+    # warning reaches stderr through logging's last-resort handler
+    root = logging.getLogger()
+    handlers = root.handlers[:]
+    for handler in handlers:
+        root.removeHandler(handler)
+    try:
+        code, err = run_cli_err(
+            ["score", corpus_dir / "train.jsonl", "--hyp", hyp,
+             "--workspace", corpus_dir / "ws", "--mock"], capsys)
+    finally:
+        for handler in handlers:
+            root.addHandler(handler)
+    assert code == 1
+    assert f"scoring failed for {ids[3]}" in err
+    assert [i for i in ids if i in err] == [ids[3]]
+    assert "1/6 requests failed" in err
+    assert not (corpus_dir / "ws" / "scores.jsonl").exists()

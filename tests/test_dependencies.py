@@ -85,7 +85,7 @@ LOADING_PATHS = {
     "csv": lambda tmp: "evoloop.cli.main(['report', 'rounds', '--workspace',"
                        f" {_rounds_workspace(tmp)!r}, '--csv', {str(tmp / 'r.csv')!r}])",
     "concurrent.futures": lambda tmp: "from evoloop.backends import run_batch\n"
-                                      "run_batch([lambda: 1], max_in_flight=1)",
+                                      "run_batch([lambda: 1], max_in_flight=2)",
     "wave": lambda tmp: "from evoloop.backends.mock import MockTts\n"
                         f"MockTts({str(tmp)!r}).tts({{'text': 'a', 'voice_id': 'v'}})",
 }
@@ -95,6 +95,12 @@ LOADING_PATHS = {
 def test_deferred_module_loads_on_its_own_path(tmp_path, module):
     added = modules_added(LOADING_PATHS[module](tmp_path))
     assert [name for name in DEFERRED if name in added] == [module]
+
+
+def test_width_one_batch_starts_no_pool():
+    added = modules_added("from evoloop.backends import run_batch\n"
+                          "run_batch([lambda: 1, lambda: 2], max_in_flight=1)")
+    assert "concurrent.futures" not in added
 
 
 def test_report_rounds_without_csv_skips_csv(tmp_path):
