@@ -16,35 +16,16 @@ Documented behaviors relied on by fixtures:
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import io
 import threading
 from collections import Counter
-from pathlib import Path
 from typing import Callable, Mapping
 
-from ..atomic import write_atomic
 from ..errors import PermanentBackendError
 
 CHARS_PER_SECOND = 15.0
 MISS_PENALTY = 0.05  # ScheduledScorer: a miss scores this far below the schedule
 SAMPLE_RATE_HZ = 16000
-_STUB_FRAMES = 160  # 10 ms of audio; metadata carries the logical duration
-
-
-@functools.cache
-def _wav_stub() -> bytes:
-    """The one WAV file every clip gets, built on first use."""
-    import wave
-
-    buf = io.BytesIO()
-    with wave.open(buf, "wb") as wav:
-        wav.setnchannels(1)
-        wav.setsampwidth(2)
-        wav.setframerate(SAMPLE_RATE_HZ)
-        wav.writeframes(bytes(2 * _STUB_FRAMES))  # PCM16 silence
-    return buf.getvalue()
 
 
 class CallCounter:
@@ -60,10 +41,13 @@ class CallCounter:
 
 
 class MockTts:
-    """Writes tiny 16 kHz mono PCM16 WAV stubs under the workspace."""
+    """Names a 16 kHz clip by a hash of its request; writes no file.
 
-    def __init__(self, workspace: str | Path, known_voices: frozenset[str] | None = None):
-        self.workspace = Path(workspace)
+    Nothing downstream decodes audio (AudioRef only carries the metadata),
+    so the uri is a name, not a path that exists.
+    """
+
+    def __init__(self, known_voices: frozenset[str] | None = None):
         self.known_voices = known_voices
         self.calls = CallCounter()
 
@@ -82,12 +66,8 @@ class MockTts:
         key = hashlib.sha256(
             f"{text}\x00{voice_id}\x00{payload.get('target_duration_s')}".encode()
         ).hexdigest()[:16]
-        uri = f"audio/{key}.wav"
-        path = self.workspace / uri
-        if not path.exists():
-            write_atomic(path, _wav_stub())
         return {
-            "uri": uri,
+            "uri": f"audio/{key}.wav",
             "duration_s": duration_s,
             "sample_rate_hz": SAMPLE_RATE_HZ,
         }

@@ -545,23 +545,28 @@ def _evaluate_rows(args, cfg: RunConfig, ws: Path) -> List[DirectionScore]:
     if not cfg.piece_table_path:
         raise UsageError("metrics.piece_table_path is required for spBLEU")
     table = load_piece_table(cfg.piece_table_path)
-    rows = []
     groups = split_directions(samples)
+    directions = _select_directions(list(groups), args.direction)
+    selected = [s for direction in directions for s in groups[direction]]
     with build_stack(cfg, ws, samples) as stack:
-        for direction in _select_directions(list(groups), args.direction):
-            group = groups[direction]
-            hyp_texts = [hyps[s.id] for s in group]
-            refs = [s.reference for s in group]
-            spbleu = corpus_spbleu(hyp_texts, refs, table, smoothing=cfg.smoothing)
-            comet = sum(_scores(stack, group, hyps)) / len(group)
-            rows.append(
-                DirectionScore(
-                    direction=direction,
-                    spbleu=spbleu.score,
-                    comet=comet * 100.0,
-                    n_samples=len(group),
-                )
+        values = _scores(stack, selected, hyps)
+    rows = []
+    start = 0
+    for direction in directions:
+        group = groups[direction]
+        comets = values[start:start + len(group)]
+        start += len(group)
+        hyp_texts = [hyps[s.id] for s in group]
+        refs = [s.reference for s in group]
+        spbleu = corpus_spbleu(hyp_texts, refs, table, smoothing=cfg.smoothing)
+        rows.append(
+            DirectionScore(
+                direction=direction,
+                spbleu=spbleu.score,
+                comet=sum(comets) / len(group) * 100.0,
+                n_samples=len(group),
             )
+        )
     return rows
 
 

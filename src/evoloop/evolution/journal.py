@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional
 from ..atomic import write_atomic
 from ..errors import ResumeStateCorrupt
 
-__all__ = ["Journal", "PHASE_FILES", "PHASES", "round_file", "write_json"]
+__all__ = ["Journal", "PHASE_FILES", "round_file", "write_json"]
 
 LEDGER_NAME = "journal.json"
 # 2: acquisition journaled once, under round 1
@@ -34,8 +34,6 @@ ACQUISITION = "acquisition"
 REFINEMENT = "refinement"
 UPDATE = "update"
 EVALUATION = "evaluation"
-
-PHASES = (ACQUISITION, REFINEMENT, UPDATE, EVALUATION)
 
 PHASE_FILES: Dict[str, tuple] = {
     ACQUISITION: ("acquisition.jsonl",),

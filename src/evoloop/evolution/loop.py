@@ -111,17 +111,18 @@ def run_loop(
     backends: Backends,
     workspace: str,
     update_hook=None,
-    version: Optional[ModelVersion] = None,
     *,
+    version: ModelVersion,
     max_in_flight: int,
     on_phase: Optional[Callable[[int, str, str], None]] = None,
 ) -> List[RoundState]:
     """Drive rounds until convergence or the round cap.
 
     `max_in_flight` bounds each phase's fan-out of backend calls; the
-    journal does not depend on it. `version` is the shared model-version
-    cell; it is restored from the journal on resume and advanced whenever
-    a round emits a JobSpec (the update hook, if any, runs first).
+    journal does not depend on it. `version` is the stack's model-version
+    cell, which keys the translate and score cache entries; it is restored
+    from the journal on resume and advanced whenever a round emits a
+    JobSpec (the update hook, if any, runs first).
     `on_phase(round_index, phase, source)` fires once per phase, after it
     loads from the journal (`source` "journal") or runs and commits
     ("fresh"); tests raise from it to kill the loop at exact points.
@@ -144,8 +145,7 @@ def run_loop(
     )
     if jrnl.open(fingerprint):
         log.info("resuming journaled run in %s", workspace)
-    if version is not None:
-        version.set(jrnl.model_version())
+    version.set(jrnl.model_version())
 
     def step(round_index: int, phase: str, load, run):
         """Check a journaled phase, or run it and journal its files.
@@ -220,8 +220,7 @@ def run_loop(
             return None, trained
 
         step(k, journal_mod.UPDATE, lambda: None, update)
-        if version is not None:
-            version.set(jrnl.model_version())
+        version.set(jrnl.model_version())
 
         def load_state():
             with open(state_path, encoding="utf-8") as fh:

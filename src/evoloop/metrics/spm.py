@@ -44,8 +44,7 @@ class PieceTable:
     codepoint; such a table decodes word by word.
     """
 
-    __slots__ = ("pieces", "unk_piece", "unk_logprob", "space_marker", "max_piece_len",
-                 "word_local")
+    __slots__ = ("pieces", "unk_piece", "unk_logprob", "max_piece_len", "word_local")
 
     def __init__(self, pieces: Mapping[str, float], unk_logprob: float | None = None):
         if not pieces:
@@ -58,15 +57,8 @@ class PieceTable:
         self.pieces = clean
         self.unk_piece = "<unk>"
         self.unk_logprob = float(unk_logprob)
-        self.space_marker = SPACE_MARKER
         self.max_piece_len = max(len(p) for p in clean)
         self.word_local = not any(SPACE_MARKER in p[1:] for p in clean)
-
-    def __len__(self) -> int:
-        return len(self.pieces)
-
-    def __contains__(self, piece: str) -> bool:
-        return piece in self.pieces
 
 
 def _check_piece(piece: str, logprob: float) -> float:

@@ -109,7 +109,7 @@ def build_mock_stack(
     contend for the GIL and the cache lock: the stack fans out at width 1.
     """
     version = ModelVersion(0)
-    tts_backend = MockTts(workspace, known_voices=known_voices)
+    tts_backend = MockTts(known_voices=known_voices)
     translate_backend = translator if translator is not None else ContrastTranslator()
     if scorer is not None:
         score_backend = scorer

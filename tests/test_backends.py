@@ -8,7 +8,6 @@ import sqlite3
 import subprocess
 import sys
 import threading
-import wave
 from collections import Counter
 from pathlib import Path
 
@@ -214,7 +213,7 @@ class TestContentCache:
 
 class TestMockTts:
     def test_duration_formula(self, tmp_path, cache):
-        client = TtsClient(MockTts(tmp_path), cache, sleep=no_sleep)
+        client = TtsClient(MockTts(), cache, sleep=no_sleep)
         audio = client.synthesize("hello", "v1")
         assert audio.duration_s == pytest.approx(5 / 15.0)
         assert audio.sample_rate_hz == 16000
@@ -222,12 +221,12 @@ class TestMockTts:
         assert audio.voice_id == "v1"
 
     def test_target_duration_honored(self, tmp_path, cache):
-        client = TtsClient(MockTts(tmp_path), cache, sleep=no_sleep)
+        client = TtsClient(MockTts(), cache, sleep=no_sleep)
         audio = client.synthesize("hello", "v1", target_duration_s=2.25)
         assert audio.duration_s == 2.25
 
     def test_cache_idempotence_zero_backend_calls(self, tmp_path, cache):
-        backend = MockTts(tmp_path)
+        backend = MockTts()
         client = TtsClient(backend, cache, sleep=no_sleep)
         first = client.synthesize("hello there", "v2")
         calls_after_first = backend.calls.count
@@ -235,18 +234,23 @@ class TestMockTts:
         assert backend.calls.count == calls_after_first
         assert second == first
 
-    def test_wav_stub_is_valid_pcm16_mono(self, tmp_path, cache):
-        client = TtsClient(MockTts(tmp_path), cache, sleep=no_sleep)
-        audio = client.synthesize("check the file", "v1")
-        path = tmp_path / audio.uri
-        assert path.exists()
-        with wave.open(str(path), "rb") as wav:
-            assert wav.getnchannels() == 1
-            assert wav.getsampwidth() == 2
-            assert wav.getframerate() == 16000
+    def test_response_is_a_function_of_the_request(self):
+        # these bytes reach every manifest and journal.json; they must not move
+        backend = MockTts()
+        assert backend.tts({"text": "hello there", "voice_id": "voice-a"}) == {
+            "uri": "audio/3f58110dbd9f3e3b.wav",
+            "duration_s": 11 / 15,
+            "sample_rate_hz": 16000,
+        }
+        assert backend.tts({"text": "hello there", "voice_id": "voice-a",
+                            "target_duration_s": 2.25}) == {
+            "uri": "audio/405db7de1a7c5ca8.wav",
+            "duration_s": 2.25,
+            "sample_rate_hz": 16000,
+        }
 
     def test_duration_overrun_carries_audio(self, tmp_path, cache):
-        client = TtsClient(MockTts(tmp_path), cache, sleep=no_sleep)
+        client = TtsClient(MockTts(), cache, sleep=no_sleep)
         with pytest.raises(DurationOverrun) as exc:
             client.synthesize("a long recording", "v1", target_duration_s=31.0)
         assert exc.value.audio.duration_s == 31.0
@@ -254,7 +258,7 @@ class TestMockTts:
         assert exc.value.audio.uri.endswith(".wav")
 
     def test_overrun_repeat_is_cache_hit(self, tmp_path, cache):
-        backend = MockTts(tmp_path)
+        backend = MockTts()
         client = TtsClient(backend, cache, sleep=no_sleep)
         for _ in range(2):
             with pytest.raises(DurationOverrun):
@@ -262,18 +266,18 @@ class TestMockTts:
         assert backend.calls.count == 1
 
     def test_exactly_30s_is_allowed(self, tmp_path, cache):
-        client = TtsClient(MockTts(tmp_path), cache, sleep=no_sleep)
+        client = TtsClient(MockTts(), cache, sleep=no_sleep)
         audio = client.synthesize("text", "v1", target_duration_s=30.0)
         assert audio.duration_s == 30.0
 
     def test_unknown_voice_rejected(self, tmp_path, cache):
-        backend = MockTts(tmp_path, known_voices=frozenset({"v1"}))
+        backend = MockTts(known_voices=frozenset({"v1"}))
         client = TtsClient(backend, cache, sleep=no_sleep)
         with pytest.raises(SynthesisRejected):
             client.synthesize("text", "v9")
 
     def test_empty_text_rejected_before_network(self, tmp_path, cache):
-        backend = MockTts(tmp_path)
+        backend = MockTts()
         client = TtsClient(backend, cache, sleep=no_sleep)
         with pytest.raises(SynthesisRejected):
             client.synthesize("", "v1")
@@ -408,14 +412,14 @@ class TestScoreClient:
 
 class TestRetryIntegration:
     def test_flaky_backend_recovers_within_budget(self, cache, tmp_path):
-        backend = FlakyWrapper(MockTts(tmp_path), fail_first=2)
+        backend = FlakyWrapper(MockTts(), fail_first=2)
         config = EndpointConfig(max_attempts=3, backoff_base_ms=1)
         client = TtsClient(backend, cache, config=config, sleep=no_sleep)
         audio = client.synthesize("retry me", "v1")
         assert audio.duration_s == pytest.approx(len("retry me") / 15.0)
 
     def test_flaky_backend_exhausts(self, cache, tmp_path):
-        backend = FlakyWrapper(MockTts(tmp_path), fail_first=10)
+        backend = FlakyWrapper(MockTts(), fail_first=10)
         config = EndpointConfig(max_attempts=3, backoff_base_ms=1)
         client = TtsClient(backend, cache, config=config, sleep=no_sleep)
         with pytest.raises(BackendUnavailable) as exc:

@@ -575,6 +575,72 @@ def test_evaluate_direction_filter_scores_only_that_direction(corpus_dir, monkey
     assert len(calls) == 2
 
 
+def test_evaluate_scores_every_direction_in_one_fan_out(corpus_dir, monkeypatch, capsys):
+    from evoloop.backends.mock import MockScorer
+
+    sources = []
+    original = MockScorer.score
+
+    def counted(self, payload):
+        sources.append(payload["source"])
+        return original(self, payload)
+
+    batches = []
+    real = phases.run_batch
+
+    def spy(tasks, max_in_flight):
+        batches.append(len(tasks))
+        return real(tasks, max_in_flight=max_in_flight)
+
+    monkeypatch.setattr(MockScorer, "score", counted)
+    monkeypatch.setattr(phases, "run_batch", spy)
+    ws = corpus_dir / "ws"
+    rows = make_rows(3) + make_rows(2, tgt="lao", stem="omega") + make_rows(1, tgt="tha")
+    manifest = write_manifest(corpus_dir / "three.jsonl", rows)
+    hyp = write_manifest(ws / "hyp.jsonl", [
+        {"id": hash_sample(r["text"], r["reference"], r["src_lang"], r["tgt_lang"]),
+         "text": r["reference"] if r["tgt_lang"] != "lao" else r["text"].split()[0]}
+        for r in rows])
+    table = write_piece_table(corpus_dir / "pieces.tsv")
+    code, out = run_cli(
+        ["evaluate", manifest, "--hyp", hyp, "--piece-table", table,
+         "--direction", "eng-tha,eng-lao", "--workspace", ws, "--mock"], capsys)
+    assert code == 0
+    assert batches == [3]
+    # input order, not --direction order
+    assert sources == [r["text"] for r in rows[3:]]
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[1:-1]] == ["eng-lao", "eng-tha"]
+    assert lines[1].endswith(f"/ {fmt1(2 / 5 * 100)}")
+    assert lines[2] == "eng-tha      100.0 / 100.0"
+
+
+def test_evaluate_fails_on_one_failed_sample(corpus_dir, monkeypatch, capsys):
+    from evoloop.backends.mock import MockScorer
+
+    rows = make_rows(3) + make_rows(2, tgt="lao", stem="omega")
+    real = MockScorer.score
+
+    def fail_one(self, payload):
+        if payload["source"] == rows[4]["text"]:
+            raise PermanentBackendError(422, "bad-input", "scripted")
+        return real(self, payload)
+
+    monkeypatch.setattr(MockScorer, "score", fail_one)
+    ws = corpus_dir / "ws"
+    manifest = write_manifest(corpus_dir / "two.jsonl", rows)
+    hyp = write_manifest(ws / "hyp.jsonl", [
+        {"id": hash_sample(r["text"], r["reference"], r["src_lang"], r["tgt_lang"]),
+         "text": r["reference"]} for r in rows])
+    table = write_piece_table(corpus_dir / "pieces.tsv")
+    code, out = run_cli(
+        ["evaluate", manifest, "--hyp", hyp, "--piece-table", table,
+         "--workspace", ws, "--mock"], capsys)
+    assert code == 1
+    assert out == ""
+    assert not (ws / "reports" / "evaluate.json").exists()
+
+
 def test_evaluate_requires_hypotheses(corpus_dir, capsys):
     code, _ = run_cli(
         ["evaluate", corpus_dir / "train.jsonl",
@@ -664,6 +730,13 @@ def test_loop_lines_match_state_files(corpus_dir, capsys):
         assert f"eval={fmt1(state['eval_score'] * 100)}" in line
         assert f"delta={fmt1(state['delta_vs_best'] * 100, signed=True)}" in line
         assert line.endswith(state["status"])
+
+
+def test_loop_workspace_holds_only_journal_rounds_and_cache(corpus_dir, capsys):
+    code, _ = run_cli(loop_argv(corpus_dir), capsys)
+    assert code == 0
+    ws = corpus_dir / "ws"
+    assert sorted(p.name for p in ws.iterdir()) == ["cache", "journal.json", "rounds"]
 
 
 def test_loop_rerun_prints_identical_output(corpus_dir, capsys):
@@ -1010,6 +1083,13 @@ def test_fan_out_width_has_no_default():
     # and its caller sets the failure budget: the phases' share or a command's none
     budget = inspect.signature(phases._fan_out).parameters["budget"]
     assert budget.default is inspect.Parameter.empty
+
+
+def test_run_loop_requires_the_version_cell():
+    # without it, rounds after an update would read pre-update cache entries
+    version = inspect.signature(run_loop).parameters["version"]
+    assert version.kind is inspect.Parameter.KEYWORD_ONLY
+    assert version.default is inspect.Parameter.empty
 
 
 def test_translate_refuses_missing_audio_before_any_request(corpus_dir, capsys, monkeypatch):

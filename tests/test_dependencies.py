@@ -54,7 +54,7 @@ def test_https_transport_loads_ssl():
     assert "http.client" not in added
 
 
-DEFERRED = ("socket", "sqlite3", "subprocess", "csv", "concurrent.futures", "wave")
+DEFERRED = ("socket", "sqlite3", "subprocess", "csv", "concurrent.futures")
 
 
 def test_cli_import_defers_rare_path_modules():
@@ -86,8 +86,6 @@ LOADING_PATHS = {
                        f" {_rounds_workspace(tmp)!r}, '--csv', {str(tmp / 'r.csv')!r}])",
     "concurrent.futures": lambda tmp: "from evoloop.backends import run_batch\n"
                                       "run_batch([lambda: 1], max_in_flight=2)",
-    "wave": lambda tmp: "from evoloop.backends.mock import MockTts\n"
-                        f"MockTts({str(tmp)!r}).tts({{'text': 'a', 'voice_id': 'v'}})",
 }
 
 
@@ -101,6 +99,16 @@ def test_width_one_batch_starts_no_pool():
     added = modules_added("from evoloop.backends import run_batch\n"
                           "run_batch([lambda: 1, lambda: 2], max_in_flight=1)")
     assert "concurrent.futures" not in added
+
+
+def test_mock_synth_imports_no_wave(tmp_path):
+    manifest = tmp_path / "train.jsonl"
+    manifest.write_text(json.dumps({"src_lang": "eng", "tgt_lang": "khm",
+                                    "text": "a b", "reference": "a b"}) + "\n")
+    added = modules_added(f"evoloop.cli.main(['synth', {str(manifest)!r}, '--mock',"
+                          f" '--workspace', {str(tmp_path / 'ws')!r}])")
+    assert "wave" not in added
+    assert not (tmp_path / "ws" / "audio").exists()
 
 
 def test_report_rounds_without_csv_skips_csv(tmp_path):

@@ -66,7 +66,7 @@ def make_samples(n, src="eng", tgt="khm", reference_equals_text=True):
 
 def tts_client(tmp_path, **kw):
     ws = Path(tmp_path)
-    return TtsClient(MockTts(str(ws), **kw), ContentCache(ws / "cache"))
+    return TtsClient(MockTts(**kw), ContentCache(ws / "cache"))
 
 
 def simple_clients(tmp_path, translator=None, scorer=None):
@@ -442,7 +442,7 @@ class TestEvaluation:
         score, by_direction = run_evaluation(
             samples,
             EvolutionConfig(fixed_eval_voice="narrator"),
-            TtsClient(MockTts(str(tmp_path)), cache),
+            TtsClient(MockTts(), cache),
             TranslateClient(lookup, cache),
             ScoreClient(scorer, cache),
             max_in_flight=WIDTH,
@@ -463,7 +463,7 @@ class TestEvaluation:
         score, _ = run_evaluation(
             samples,
             EvolutionConfig(fixed_eval_voice="narrator"),
-            TtsClient(MockTts(str(tmp_path)), cache),
+            TtsClient(MockTts(), cache),
             TranslateClient(EchoTranslator(), cache),
             ScoreClient(MockScorer(), cache),
             max_in_flight=WIDTH,
@@ -475,7 +475,7 @@ class TestEvaluation:
         samples = make_samples(4)
         authentic = AudioRef("audio/a.wav", 3.0, 16000, AudioOrigin.AUTHENTIC)
         samples[0] = Sample(**{**samples[0].__dict__, "authentic_audio": authentic})
-        recorder = RecordingTts(MockTts(str(tmp_path)))
+        recorder = RecordingTts(MockTts())
         cache = ContentCache(tmp_path / "cache")
         run_evaluation(
             samples,
@@ -496,7 +496,7 @@ class TestEvaluation:
         with pytest.raises(EmptyEvalSet):
             run_evaluation(
                 [], EvolutionConfig(fixed_eval_voice="n"),
-                TtsClient(MockTts(str(tmp_path)), cache),
+                TtsClient(MockTts(), cache),
                 TranslateClient(EchoTranslator(), cache),
                 ScoreClient(MockScorer(), cache),
                 max_in_flight=WIDTH,
@@ -507,7 +507,7 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             run_evaluation(
                 make_samples(1), EvolutionConfig(),
-                TtsClient(MockTts(str(tmp_path)), cache),
+                TtsClient(MockTts(), cache),
                 TranslateClient(EchoTranslator(), cache),
                 ScoreClient(MockScorer(), cache),
                 max_in_flight=WIDTH,
@@ -561,7 +561,7 @@ class TestFailuresWithinBudget:
         return run_evaluation(
             samples,
             EvolutionConfig(fixed_eval_voice="narrator"),
-            TtsClient(MockTts(str(tmp_path)), cache),
+            TtsClient(MockTts(), cache),
             TranslateClient(EchoTranslator(), cache),
             ScoreClient(FailingScorer(failing), cache),
             max_in_flight=WIDTH,
@@ -1059,4 +1059,4 @@ class TestRunLoop:
         _, eval_samples, config, stack = loop_fixture(ws)
         with pytest.raises(EmptyInput):
             run_loop([], eval_samples, POOL, config, stack.backends, str(ws),
-                     max_in_flight=stack.max_in_flight)
+                     version=stack.version, max_in_flight=stack.max_in_flight)
