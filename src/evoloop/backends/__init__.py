@@ -11,7 +11,7 @@ from .batch import (
     run_batch,
     with_retry,
 )
-from .cache import ContentCache, payload_hash
+from .cache import ContentCache, entry_key
 from .clients import (
     BEAM,
     DURATION_LIMIT_S,
@@ -39,7 +39,7 @@ __all__ = [
     "TranslationMode",
     "TtsClient",
     "enforce_failure_budget",
-    "payload_hash",
+    "entry_key",
     "run_batch",
     "with_retry",
 ]

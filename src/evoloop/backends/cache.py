@@ -1,11 +1,16 @@
 """Content-addressed response cache in one sqlite3 file.
 
-Layout: <root>/responses.db, one WITHOUT ROWID table keyed by
-(endpoint, namespace, key), where key is payload_hash(payload), the
-SHA-256 of the canonical request payload, and response is the JSON text of
-the answer. The namespace isolates responses produced by different model
+Layout: <root>/responses.db, one WITHOUT ROWID table `entries` whose key
+is a 32-byte BLOB, entry_key(endpoint, namespace, payload): the SHA-256 of
+the endpoint, the namespace and the canonical request payload, joined by
+NUL. Endpoints and namespaces hold no NUL and canonical JSON escapes every
+control character, so distinct triples never join to the same text. Each
+row holds canonical_payload(response), so keys and rows share one JSON
+encoder. The namespace isolates responses produced by different model
 versions, so a post-update run never reads answers the previous weights
-gave, while byte-identical requests within one version always hit.
+gave, while byte-identical requests within one version always hit. A
+store that still holds the older `responses` table, keyed by three text
+columns, has it dropped when it opens; those requests are sent once more.
 
 The store runs in WAL mode with synchronous=NORMAL and commits every put
 on its own, so a killed process keeps every entry it put before, and
@@ -25,12 +30,9 @@ import weakref
 from pathlib import Path
 
 DB_NAME = "responses.db"
-_SCHEMA = """CREATE TABLE IF NOT EXISTS responses (
-    endpoint TEXT NOT NULL,
-    namespace TEXT NOT NULL,
-    key TEXT NOT NULL,
-    response TEXT NOT NULL,
-    PRIMARY KEY (endpoint, namespace, key)
+_SCHEMA = """CREATE TABLE IF NOT EXISTS entries (
+    key BLOB PRIMARY KEY,
+    response TEXT NOT NULL
 ) WITHOUT ROWID"""
 
 
@@ -38,8 +40,10 @@ def canonical_payload(payload: dict) -> str:
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def payload_hash(payload: dict) -> str:
-    return hashlib.sha256(canonical_payload(payload).encode("utf-8")).hexdigest()
+def entry_key(endpoint: str, namespace: str, payload: dict) -> bytes:
+    """The 32-byte key of one request to one endpoint in one namespace."""
+    text = f"{endpoint}\0{namespace}\0{canonical_payload(payload)}"
+    return hashlib.sha256(text.encode("utf-8")).digest()
 
 
 class ContentCache:
@@ -59,6 +63,7 @@ class ContentCache:
                                  check_same_thread=False)
             db.execute("PRAGMA journal_mode=WAL")
             db.execute("PRAGMA synchronous=NORMAL")
+            db.execute("DROP TABLE IF EXISTS responses")  # the older layout
             db.execute(_SCHEMA)
             # a Connection sits in a reference cycle, so only the cyclic GC
             # would free it; closing when the cache is dropped removes the
@@ -74,19 +79,16 @@ class ContentCache:
                 self._close_db()
                 self._db = None
 
-    def get(self, endpoint: str, namespace: str, key: str) -> dict | None:
-        """The response stored under key (a payload_hash), or None."""
+    def get(self, key: bytes) -> dict | None:
+        """The response stored under key (an entry_key), or None."""
         with self._lock:
             row = self._connect().execute(
-                "SELECT response FROM responses"
-                " WHERE endpoint = ? AND namespace = ? AND key = ?",
-                (endpoint, namespace, key)).fetchone()
+                "SELECT response FROM entries WHERE key = ?", (key,)).fetchone()
         return None if row is None else json.loads(row[0])
 
-    def put(self, endpoint: str, namespace: str, key: str, response: dict) -> None:
-        """Store response under key (a payload_hash)."""
-        data = json.dumps(response, ensure_ascii=False, sort_keys=True)
+    def put(self, key: bytes, response: dict) -> None:
+        """Store response under key (an entry_key)."""
+        data = canonical_payload(response)
         with self._lock:
             self._connect().execute(
-                "INSERT OR REPLACE INTO responses VALUES (?, ?, ?, ?)",
-                (endpoint, namespace, key, data))
+                "INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, data))

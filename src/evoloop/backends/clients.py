@@ -23,7 +23,7 @@ from ..errors import (
     SynthesisRejected,
 )
 from .batch import with_retry
-from .cache import ContentCache, payload_hash
+from .cache import ContentCache, entry_key
 
 BEAM = 1
 TEMPERATURE = 0.0
@@ -73,9 +73,9 @@ class _CachedClient:
         return self._namespace() if callable(self._namespace) else self._namespace
 
     def _call(self, method: Callable[[dict], dict], payload: dict) -> dict:
-        ns = self.namespace()
-        key = payload_hash(payload)  # hashed once for both the get and a miss's put
-        cached = self._cache.get(self._endpoint, ns, key)
+        # hashed once for both the get and a miss's put
+        key = entry_key(self._endpoint, self.namespace(), payload)
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
         response, _ = with_retry(
@@ -85,7 +85,7 @@ class _CachedClient:
             backoff_base_ms=self._config.backoff_base_ms,
             sleep=self._sleep,
         )
-        self._cache.put(self._endpoint, ns, key, response)
+        self._cache.put(key, response)
         return response
 
 

@@ -52,6 +52,8 @@ _MAX_HEADERS = 100  # header fields; http.client counts the blank line too
 # characters that would split or end the request line or a header field
 _URL_UNSAFE = re.compile(r"[\x00-\x20\x7f]")
 _HEADER_UNSAFE = re.compile(r"[\x00-\x1f\x7f]")
+# Request Timeout and Too Many Requests: the service may answer later
+_RETRIED_4XX = frozenset({408, 429})
 
 
 def _read_line(reader) -> bytes:
@@ -222,7 +224,7 @@ class HttpTransport:
             obj = {}  # an error body without {error, detail}
         error = obj.get("error", "")
         detail = obj.get("detail", "")
-        if status >= 500:
+        if status >= 500 or status in _RETRIED_4XX:
             raise TransientBackendError(f"{url}: HTTP {status} {error} {detail}".rstrip())
         raise PermanentBackendError(status, error, detail)
 

@@ -389,7 +389,7 @@ def _direction_rows(args: argparse.Namespace) -> List[DirectionScore]:
 
 # --- subcommands -----------------------------------------------------------------
 
-def cmd_validate(args: argparse.Namespace, cfg: RunConfig, ws: Optional[Path]) -> Outcome:
+def cmd_validate(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
     errors: List[Tuple[int, str]] = []
     count = 0
     try:
@@ -810,15 +810,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# commands that write nothing into the workspace, so they never create it
+_READ_ONLY = frozenset({cmd_validate, cmd_report_rounds, cmd_report_resource,
+                        cmd_report_directions})
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "verbose", False):
         logging.basicConfig(level=logging.INFO, stream=sys.stderr)
     try:
         cfg = load_run_config(args)
-        # validate reads only its manifest, so it makes the workspace only
-        # when a --report is asked for.
-        ws = _workspace(cfg) if args.func is not cmd_validate or args.report else None
+        ws = Path(cfg.workspace) if args.func in _READ_ONLY else _workspace(cfg)
         code, payload = args.func(args, cfg, ws)
         # Only evaluate has a default report path; it always writes one.
         report = args.report

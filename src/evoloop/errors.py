@@ -85,11 +85,11 @@ class BackendError(EvoloopError):
 
 
 class TransientBackendError(BackendError):
-    """Retryable failure: connection refused, timeout, 5xx."""
+    """Retryable failure: connection refused, timeout, 5xx, 408 or 429."""
 
 
 class PermanentBackendError(BackendError):
-    """Non-retryable rejection from a backend (4xx with error payload)."""
+    """Non-retryable rejection: a 3xx, a 4xx but 408 and 429, or a bad 2xx body."""
 
     def __init__(self, status: int, error: str = "", detail: str = ""):
         self.status = status

@@ -1,8 +1,10 @@
 """Client facades, mocks, and the response cache."""
 
+import hashlib
 import json
 import os
 import random
+import re
 import signal
 import sqlite3
 import subprocess
@@ -21,8 +23,10 @@ from evoloop.backends import (
     TranslateClient,
     TranslationMode,
     TtsClient,
-    payload_hash,
+    entry_key,
 )
+from evoloop.backends import cache as cache_module
+from evoloop.backends.cache import canonical_payload
 from evoloop.backends.mock import (
     ContrastTranslator,
     LookupTranslator,
@@ -45,6 +49,7 @@ from evoloop.errors import (
 from helpers import EchoTranslator
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+FORMATS_DOC = SRC.parent / "docs" / "formats.md"
 
 
 def no_sleep(_s):
@@ -79,21 +84,25 @@ class FlakyWrapper:
 
 
 def stored_texts(root) -> dict:
-    """(endpoint, namespace, key) -> response text, read past the cache."""
+    """key -> response text, read past the cache."""
     db = sqlite3.connect(Path(root) / "responses.db")
     try:
-        rows = db.execute("SELECT endpoint, namespace, key, response FROM responses")
-        return {(e, ns, k): text for e, ns, k, text in rows}
+        return dict(db.execute("SELECT key, response FROM entries"))
     finally:
         db.close()
 
 
+def older_hash(payload) -> str:
+    """The per-payload hex digest that older cache layouts keyed entries by."""
+    return hashlib.sha256(canonical_payload(payload).encode("utf-8")).hexdigest()
+
+
 KILLED_WRITER = """
 import os, signal, sys
-from evoloop.backends.cache import ContentCache, payload_hash
+from evoloop.backends.cache import ContentCache, entry_key
 cache = ContentCache(sys.argv[1])
 for i in range(int(sys.argv[2])):
-    cache.put("translate", "v0", payload_hash({"i": i}), {"text": f"ជំរាបសួរ {i}", "n": i})
+    cache.put(entry_key("translate", "v0", {"i": i}), {"text": f"ជំរាបសួរ {i}", "n": i})
 os.kill(os.getpid(), signal.SIGKILL)
 """
 
@@ -105,26 +114,40 @@ def cache(tmp_path):
 
 class TestContentCache:
     def test_roundtrip(self, cache):
-        payload = {"text": "hi", "voice_id": "v1"}
-        assert cache.get("tts", "v0", payload_hash(payload)) is None
-        cache.put("tts", "v0", payload_hash(payload), {"uri": "a.wav"})
-        assert cache.get("tts", "v0", payload_hash(payload)) == {"uri": "a.wav"}
+        key = entry_key("tts", "v0", {"text": "hi", "voice_id": "v1"})
+        assert len(key) == 32
+        assert cache.get(key) is None
+        cache.put(key, {"uri": "a.wav"})
+        assert cache.get(key) == {"uri": "a.wav"}
 
     def test_key_order_does_not_matter(self, cache):
-        cache.put("x", "v0", payload_hash({"a": 1, "b": 2}), {"r": 1})
-        assert cache.get("x", "v0", payload_hash({"b": 2, "a": 1})) == {"r": 1}
+        assert entry_key("x", "v0", {"a": 1, "b": 2}) == entry_key("x", "v0", {"b": 2, "a": 1})
+        cache.put(entry_key("x", "v0", {"a": 1, "b": 2}), {"r": 1})
+        assert cache.get(entry_key("x", "v0", {"b": 2, "a": 1})) == {"r": 1}
 
     def test_namespaces_are_isolated(self, cache):
         payload = {"mode": "mt", "text": "t"}
-        cache.put("translate", "v0", payload_hash(payload), {"text": "old"})
-        assert cache.get("translate", "v1", payload_hash(payload)) is None
-        cache.put("translate", "v1", payload_hash(payload), {"text": "new"})
-        assert cache.get("translate", "v0", payload_hash(payload)) == {"text": "old"}
-        assert cache.get("translate", "v1", payload_hash(payload)) == {"text": "new"}
+        cache.put(entry_key("translate", "v0", payload), {"text": "old"})
+        assert cache.get(entry_key("translate", "v1", payload)) is None
+        cache.put(entry_key("translate", "v1", payload), {"text": "new"})
+        assert cache.get(entry_key("translate", "v0", payload)) == {"text": "old"}
+        assert cache.get(entry_key("translate", "v1", payload)) == {"text": "new"}
+
+    def test_endpoint_and_namespace_are_in_the_key(self, cache, tmp_path):
+        payload = {"text": "same"}
+        cells = [("tts", "v0"), ("tts", "v1"), ("score", "v0")]
+        keys = [entry_key(endpoint, ns, payload) for endpoint, ns in cells]
+        assert len(set(keys)) == 3
+        for i, key in enumerate(keys):
+            cache.put(key, {"i": i})
+        assert [cache.get(key) for key in keys] == [{"i": 0}, {"i": 1}, {"i": 2}]
+        cache.close()
+        assert stored_texts(tmp_path / "cache") == {
+            key: canonical_payload({"i": i}) for i, key in enumerate(keys)}
 
     def test_no_leftover_temp_files(self, cache, tmp_path):
         for i in range(20):
-            cache.put("e", "v0", payload_hash({"i": i}), {"ok": i})
+            cache.put(entry_key("e", "v0", {"i": i}), {"ok": i})
         leftovers = list((tmp_path / "cache").rglob("*.tmp"))
         assert leftovers == []
 
@@ -133,20 +156,20 @@ class TestContentCache:
         for endpoint in ("tts", "translate", "score"):
             for ns in ("v0", "v1"):
                 for i in range(20):
-                    cache.put(endpoint, ns, payload_hash({"i": i}), {"ok": [endpoint, ns, i]})
+                    cache.put(entry_key(endpoint, ns, {"i": i}), {"ok": [endpoint, ns, i]})
         cache.close()
         assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.db"]
         reopened = ContentCache(tmp_path / "cache")
         for endpoint in ("tts", "translate", "score"):
             for ns in ("v0", "v1"):
                 for i in range(20):
-                    assert reopened.get(endpoint, ns, payload_hash({"i": i})) == {"ok": [endpoint, ns, i]}
+                    assert reopened.get(entry_key(endpoint, ns, {"i": i})) == {"ok": [endpoint, ns, i]}
         reopened.close()
 
     def test_dropped_without_close_leaves_only_the_store(self, tmp_path):
         cache = ContentCache(tmp_path / "cache")
-        cache.put("score", "v0", payload_hash({"i": 1}), {"score": 0.5})
-        assert cache.get("score", "v0", payload_hash({"i": 1})) == {"score": 0.5}
+        cache.put(entry_key("score", "v0", {"i": 1}), {"score": 0.5})
+        assert cache.get(entry_key("score", "v0", {"i": 1})) == {"score": 0.5}
         del cache  # no close(), no garbage collection
         assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.db"]
 
@@ -159,11 +182,11 @@ class TestContentCache:
         assert done.returncode == -signal.SIGKILL, done.stderr
         cache = ContentCache(tmp_path / "cache")
         for i in range(k):
-            assert cache.get("translate", "v0", payload_hash({"i": i})) == {"text": f"ជំរាបសួរ {i}", "n": i}
+            assert cache.get(entry_key("translate", "v0", {"i": i})) == {"text": f"ជំរាបសួរ {i}", "n": i}
         cache.close()
         want = {
-            ("translate", "v0", payload_hash({"i": i})):
-                json.dumps({"text": f"ជំរាបសួរ {i}", "n": i}, ensure_ascii=False, sort_keys=True)
+            entry_key("translate", "v0", {"i": i}):
+                json.dumps({"n": i, "text": f"ជំរាបសួរ {i}"}, ensure_ascii=False, separators=(",", ":"))
             for i in range(k)
         }
         assert stored_texts(tmp_path / "cache") == want
@@ -178,9 +201,9 @@ class TestContentCache:
             try:
                 for i in range(200):
                     key = (i + 25 * t) % 100  # each thread writes every key twice
-                    cache.put("score", "v0", payload_hash({"k": key}), response(key))
+                    cache.put(entry_key("score", "v0", {"k": key}), response(key))
                     other = (key * 7) % 100
-                    got = cache.get("score", "v0", payload_hash({"k": other}))
+                    got = cache.get(entry_key("score", "v0", {"k": other}))
                     if got is not None and got != response(other):
                         errors.append(got)
             except Exception as exc:  # noqa: BLE001 - reported by the assert below
@@ -199,16 +222,52 @@ class TestContentCache:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         for key in range(100):
-            assert cache.get("score", "v0", payload_hash({"k": key})) == response(key)
+            assert cache.get(entry_key("score", "v0", {"k": key})) == response(key)
 
     def test_entry_in_the_file_layout_is_not_read(self, tmp_path):
         payload = {"text": "hi", "voice_id": "v1"}
-        old = tmp_path / "cache" / "tts" / "v0" / f"{payload_hash(payload)}.json"
+        old = tmp_path / "cache" / "tts" / "v0" / f"{older_hash(payload)}.json"
         old.parent.mkdir(parents=True)
         old.write_text(json.dumps({"uri": "old.wav"}), encoding="utf-8")
         cache = ContentCache(tmp_path / "cache")
-        assert cache.get("tts", "v0", payload_hash(payload)) is None
+        assert cache.get(entry_key("tts", "v0", payload)) is None
         cache.close()
+
+    def test_older_responses_table_is_dropped(self, tmp_path):
+        payload = {"text": "hi", "voice_id": "v1"}
+        (tmp_path / "cache").mkdir()
+        db = sqlite3.connect(tmp_path / "cache" / "responses.db")
+        db.execute("CREATE TABLE responses (endpoint TEXT NOT NULL, namespace TEXT NOT NULL,"
+                   " key TEXT NOT NULL, response TEXT NOT NULL,"
+                   " PRIMARY KEY (endpoint, namespace, key)) WITHOUT ROWID")
+        db.execute("INSERT INTO responses VALUES ('tts', 'v0', ?, ?)",
+                   (older_hash(payload), json.dumps({"uri": "old.wav"})))
+        db.commit()
+        db.close()
+        cache = ContentCache(tmp_path / "cache")
+        assert cache.get(entry_key("tts", "v0", payload)) is None
+        cache.put(entry_key("tts", "v0", payload), {"uri": "new.wav"})
+        assert cache.get(entry_key("tts", "v0", payload)) == {"uri": "new.wav"}
+        cache.close()
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.db"]
+        db = sqlite3.connect(tmp_path / "cache" / "responses.db")
+        try:
+            tables = [name for (name,) in db.execute("SELECT name FROM sqlite_master WHERE type = 'table'")]
+        finally:
+            db.close()
+        assert tables == ["entries"]
+
+
+def sql_tokens(sql: str) -> list[str]:
+    """The statement without its -- comments, split on whitespace."""
+    return re.sub(r"--[^\n]*", "", sql).split()
+
+
+def test_formats_doc_shows_the_cache_schema():
+    blocks = re.findall(r"```sql\n(.*?)```", FORMATS_DOC.read_text(encoding="utf-8"), re.S)
+    documented = [block for block in blocks if "CREATE TABLE" in block]
+    assert len(documented) == 1
+    assert sql_tokens(documented[0]) == sql_tokens(cache_module._SCHEMA)
 
 
 class TestMockTts:
@@ -340,10 +399,10 @@ class TestTranslateClient:
         client.translate("mt", "once", None, ("eng", "deu"))
         cache.close()
         assert len(sent) == 1
-        assert stored_texts(tmp_path / "cache") == {
-            ("translate", "v0", payload_hash(sent[0])): json.dumps({"text": "once"})}
+        key = entry_key("translate", "v0", sent[0])
+        assert stored_texts(tmp_path / "cache") == {key: '{"text":"once"}'}
         fresh = ContentCache(tmp_path / "cache")
-        assert fresh.get("translate", "v0", payload_hash(sent[0])) == {"text": "once"}
+        assert fresh.get(key) == {"text": "once"}
         fresh.close()
 
     def test_version_namespace_separates_cache_entries(self, cache):

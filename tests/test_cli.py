@@ -140,19 +140,25 @@ def test_validate_missing_file_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
-def test_validate_makes_the_workspace_only_for_a_report(corpus_dir, capsys):
+@pytest.mark.parametrize("argv, want", [
+    pytest.param(["validate", "{train}", "--report", "{out}"], 0, id="validate"),
+    pytest.param(["report", "rounds"], 1, id="report-rounds"),
+    pytest.param(["report", "resource", "--direction-scores", "{scores}"], 0,
+                 id="report-resource"),
+    pytest.param(["report", "directions", "--direction-scores", "{missing}"], 2,
+                 id="report-directions"),
+])
+def test_read_only_command_makes_no_workspace(corpus_dir, dirscores, argv, want):
     blocked = corpus_dir / "blocker"
     blocked.write_text("")
+    paths = {"train": corpus_dir / "train.jsonl", "out": corpus_dir / "out" / "r.json",
+             "scores": dirscores, "missing": corpus_dir / "nope.json"}
+    argv = [str(a).format(**paths) for a in argv]
     for ws in (corpus_dir / "absent", blocked / "ws"):
-        code, out = run_cli(["validate", corpus_dir / "train.jsonl", "--workspace", ws], capsys)
-        assert (code, out) == (0, "6 samples OK\n")
+        assert main(argv + ["--workspace", str(ws)]) == want
         assert not ws.exists()
-    ws = corpus_dir / "absent"
-    code, _ = run_cli(["validate", corpus_dir / "train.jsonl", "--workspace", ws,
-                       "--report", corpus_dir / "validate.json"], capsys)
-    assert code == 0
-    assert ws.is_dir()
-    assert json.loads((corpus_dir / "validate.json").read_text())["n_samples"] == 6
+    if argv[0] == "validate":
+        assert json.loads(paths["out"].read_text())["n_samples"] == 6
 
 
 def test_validate_strict_rejects_unknown_fields(tmp_path, capsys):
@@ -341,11 +347,6 @@ def hyp_rows(rows, src="eng", tgt="khm"):
     pytest.param(["classify", "{train}"], id="classify"),
     pytest.param(["evaluate", "--direction-scores", "{scores}"], id="evaluate"),
     pytest.param(["loop", "--train", "{train}", "--eval", "{eval}"], id="loop"),
-    pytest.param(["report", "rounds"], id="report-rounds"),
-    pytest.param(["report", "resource", "--direction-scores", "{scores}"],
-                 id="report-resource"),
-    pytest.param(["report", "directions", "--direction-scores", "{scores}"],
-                 id="report-directions"),
 ])
 def test_workspace_that_cannot_be_made_is_usage_error(corpus_dir, dirscores, capsys, argv):
     """Checked before any work: a command must not fail later, inside its

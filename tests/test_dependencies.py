@@ -74,9 +74,9 @@ def _rounds_workspace(tmp_path: Path) -> str:
 LOADING_PATHS = {
     "socket": lambda tmp: "from evoloop.backends import HttpTransport\n"
                           "HttpTransport('http://model.invalid')",
-    "sqlite3": lambda tmp: "from evoloop.backends import ContentCache\n"
+    "sqlite3": lambda tmp: "from evoloop.backends import ContentCache, entry_key\n"
                            f"cache = ContentCache({str(tmp / 'cache')!r})\n"
-                           "cache.get('score', 'v0', 'k')\n"
+                           "cache.get(entry_key('score', 'v0', {}))\n"
                            "cache.close()",
     "subprocess": lambda tmp: "import sys\n"
                               "from evoloop.evolution.loop import run_update_hook\n"

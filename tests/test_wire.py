@@ -47,7 +47,7 @@ class ProtocolHandler(BaseHTTPRequestHandler):
         path, payload, _ = state["requests"][-1]
         if state["fail_next"] > 0:
             state["fail_next"] -= 1
-            self._reply(503, {"error": "overloaded", "detail": "try later"})
+            self._reply(state["fail_status"], {"error": "overloaded", "detail": "try later"})
             return
         if path == "/v1/tts":
             if payload["voice_id"] == "bad":
@@ -69,7 +69,7 @@ class ProtocolHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def server():
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), ProtocolHandler)
-    httpd.state = {"requests": [], "fail_next": 0}
+    httpd.state = {"requests": [], "fail_next": 0, "fail_status": 503}
     # a short poll keeps shutdown() in teardown from waiting 0.5 s per test
     thread = threading.Thread(
         target=httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
@@ -168,6 +168,27 @@ class TestWireErrors:
         with pytest.raises(BackendUnavailable) as exc:
             client.score("s", "h", "r")
         assert exc.value.attempts == 2
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_throttled_reply_is_retried(self, server, tmp_path, status):
+        server.state.update(fail_next=1, fail_status=status)
+        slept = []
+        client = ScoreClient(HttpTransport(base_url(server), timeout_s=5),
+                             ContentCache(tmp_path / "c"), sleep=slept.append)
+        assert client.score("s", "h", "r") == 0.42
+        assert len(server.state["requests"]) == 2
+        assert len(slept) == 1
+
+    def test_other_4xx_is_not_retried(self, server, tmp_path):
+        server.state.update(fail_next=1, fail_status=400)
+        slept = []
+        client = ScoreClient(HttpTransport(base_url(server), timeout_s=5),
+                             ContentCache(tmp_path / "c"), sleep=slept.append)
+        with pytest.raises(PermanentBackendError) as exc:
+            client.score("s", "h", "r")
+        assert exc.value.status == 400
+        assert len(server.state["requests"]) == 1
+        assert slept == []
 
     def test_unknown_route_is_permanent_error(self, server):
         transport = HttpTransport(base_url(server), timeout_s=5)
