@@ -4,13 +4,7 @@
 not import the transport module or `socket`.
 """
 
-from .batch import (
-    DEFAULT_FAILURE_BUDGET,
-    BatchResult,
-    enforce_failure_budget,
-    run_batch,
-    with_retry,
-)
+from .batch import BatchResult, run_batch, with_retry
 from .cache import ContentCache, entry_key
 from .clients import (
     BEAM,
@@ -26,7 +20,6 @@ from .clients import (
 
 __all__ = [
     "BEAM",
-    "DEFAULT_FAILURE_BUDGET",
     "DURATION_LIMIT_S",
     "TEMPERATURE",
     "BatchResult",
@@ -38,7 +31,6 @@ __all__ = [
     "TranslateClient",
     "TranslationMode",
     "TtsClient",
-    "enforce_failure_budget",
     "entry_key",
     "run_batch",
     "with_retry",

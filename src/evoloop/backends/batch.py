@@ -7,9 +7,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ..errors import BackendUnavailable, FailureBudgetExceeded, TransientBackendError
-
-DEFAULT_FAILURE_BUDGET = 0.05
+from ..errors import BackendUnavailable, TransientBackendError
 
 _jitter = random.Random()
 
@@ -74,15 +72,3 @@ def run_batch(
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         return list(pool.map(_run_one, tasks))
 
-
-def enforce_failure_budget(results: Sequence[BatchResult], budget: float) -> None:
-    """Raise when the failed fraction exceeds the budget.
-
-    Silent sample loss would bias anything computed downstream of the batch,
-    so callers opt in to a hard stop instead of quietly dropping items.
-    """
-    if not results:
-        return
-    failed = sum(1 for r in results if not r.ok)
-    if failed / len(results) > budget:
-        raise FailureBudgetExceeded(failed, len(results), budget)

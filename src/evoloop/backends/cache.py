@@ -36,7 +36,7 @@ _SCHEMA = """CREATE TABLE IF NOT EXISTS entries (
 ) WITHOUT ROWID"""
 
 
-def canonical_payload(payload: dict) -> str:
+def canonical_payload(payload: object) -> str:
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 

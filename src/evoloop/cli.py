@@ -44,21 +44,18 @@ from .corpus import (
     save_manifest,
     split_directions,
 )
-from .errors import (
-    EvoloopError,
-    MissingHypotheses,
-    NoRounds,
-)
+from .errors import EvoloopError, MissingHypotheses, NoRounds, ResumeStateCorrupt
 from .evolution import (
     EvolutionConfig,
     ModelVersion,
+    fan_out,
     partition_and_emit,
+    pick_audio,
     run_acquisition,
     run_refinement,
 )
 from .evolution.journal import write_json
 from .evolution.loop import run_loop
-from .evolution.phases import _fan_out, _pick_audio  # the phases' fan-out and audio rule
 from .metrics.aggregate import (
     DirectionScore,
     aggregate_by_resource,
@@ -463,10 +460,11 @@ def cmd_translate(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome
         client = stack.backends.translate
 
         def make_task(sample: Sample):
-            audio = _pick_audio(sample, cfg.evolution.speech_source)[0] if mode == "smt" else None
+            audio = pick_audio(sample, cfg.evolution.speech_source)[0] if mode == "smt" else None
             return lambda: client.translate(mode, sample.text, audio, sample.direction).text
 
-        hyps = _fan_out("translation", samples, make_task, stack.max_in_flight, budget=0.0)
+        hyps = fan_out("translation", samples, make_task,
+                       max_in_flight=stack.max_in_flight, budget=0.0)
     write_jsonl(out, ({"id": s.id, "text": text} for s, text in hyps))
     print(f"translated {len(samples)} samples in {mode} mode -> {out}")
     payload = {
@@ -486,7 +484,7 @@ def _scores(stack, samples: Sequence[Sample], hyps: Dict[str, str]) -> List[floa
     def make_task(sample: Sample):
         return lambda: client.score(sample.text, hyps[sample.id], sample.reference)
 
-    scored = _fan_out("scoring", samples, make_task, stack.max_in_flight, budget=0.0)
+    scored = fan_out("scoring", samples, make_task, max_in_flight=stack.max_in_flight, budget=0.0)
     return [value for _, value in scored]
 
 
@@ -622,6 +620,10 @@ def cmd_loop(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
     return 0, {"command": "loop", "rounds": [state.to_json() for state in history]}
 
 
+# what `report rounds` reads from each round's state.json
+_ROUND_KEYS = ("round_index", "eval_score", "delta_vs_best", "status")
+
+
 def _read_round_states(ws: Path) -> Tuple[Optional[float], List[dict]]:
     rounds_dir = ws / "rounds"
     states = []
@@ -630,18 +632,23 @@ def _read_round_states(ws: Path) -> Tuple[Optional[float], List[dict]]:
             state_path = sub / "state.json"
             if state_path.is_file():
                 with open(state_path, encoding="utf-8") as fh:
-                    states.append(json.load(fh))
+                    state = json.load(fh)
+                if not isinstance(state, dict):
+                    raise ResumeStateCorrupt(f"{state_path}: round state is not a JSON object")
+                missing = [key for key in _ROUND_KEYS if key not in state]
+                if missing:
+                    raise ResumeStateCorrupt(f"{state_path}: round state lacks {missing[0]!r}")
+                states.append(state)
     if not states:
         raise NoRounds(f"no completed rounds under {rounds_dir}")
-    baseline = None
-    ledger_path = ws / "journal.json"
-    if ledger_path.is_file():
-        try:
-            with open(ledger_path, encoding="utf-8") as fh:
-                baseline = json.load(fh).get("baseline")
-        except (OSError, json.JSONDecodeError):
-            baseline = None
-    return baseline, states
+    # a ledger that is missing, unreadable or not an object has no baseline row
+    ledger = None
+    try:
+        with open(ws / "journal.json", encoding="utf-8") as fh:
+            ledger = json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        pass
+    return (ledger.get("baseline") if isinstance(ledger, dict) else None), states
 
 
 def cmd_report_rounds(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:

@@ -144,12 +144,13 @@ class ScoreOutOfRange(BackendError):
 
 
 class FailureBudgetExceeded(BackendError):
-    def __init__(self, failed: int, total: int, budget: float):
+    def __init__(self, what: str, failed: int, total: int, budget: float):
+        self.what = what
         self.failed = failed
         self.total = total
         self.budget = budget
         super().__init__(
-            f"{failed}/{total} requests failed after retries "
+            f"{what}: {failed}/{total} samples failed after retries "
             f"(budget {budget:.0%})"
         )
 

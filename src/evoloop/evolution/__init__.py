@@ -3,10 +3,13 @@
 from .journal import Journal, fingerprint_inputs
 from .loop import check_convergence, run_loop, run_update_hook
 from .phases import (
+    DEFAULT_FAILURE_BUDGET,
     PartitionResult,
     choose_voice,
     empty_positives_warning,
+    fan_out,
     partition_and_emit,
+    pick_audio,
     run_acquisition,
     run_evaluation,
     run_refinement,
@@ -30,10 +33,13 @@ __all__ = [
     "check_convergence",
     "run_loop",
     "run_update_hook",
+    "DEFAULT_FAILURE_BUDGET",
     "PartitionResult",
     "choose_voice",
     "empty_positives_warning",
+    "fan_out",
     "partition_and_emit",
+    "pick_audio",
     "run_acquisition",
     "run_evaluation",
     "run_refinement",

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
 from ..atomic import write_atomic
+from ..backends.cache import canonical_payload
 from ..errors import ResumeStateCorrupt
 
 __all__ = ["Journal", "PHASE_FILES", "round_file", "write_json"]
@@ -191,8 +192,7 @@ def fingerprint_inputs(
     """Stable digests identifying a run, used to refuse foreign resumes."""
 
     def digest(obj) -> str:
-        blob = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return hashlib.sha256(canonical_payload(obj).encode("utf-8")).hexdigest()
 
     return {
         "config": digest(config_json),

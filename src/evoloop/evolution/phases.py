@@ -17,9 +17,9 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .. import curriculum
 from ..atomic import write_jsonl
-from ..backends.batch import DEFAULT_FAILURE_BUDGET, enforce_failure_budget, run_batch
+from ..backends.batch import run_batch
 from ..corpus import AudioRef, Sample
-from ..errors import DurationOverrun, EmptyEvalSet, EmptyInput, MissingAudio
+from ..errors import DurationOverrun, EmptyEvalSet, EmptyInput, FailureBudgetExceeded, MissingAudio
 from .journal import write_json
 from .types import (
     EvolutionConfig,
@@ -31,7 +31,13 @@ from .types import (
 
 log = logging.getLogger(__name__)
 
+# the share of a phase's samples that may fail before the run stops
+DEFAULT_FAILURE_BUDGET = 0.05
+
 __all__ = [
+    "DEFAULT_FAILURE_BUDGET",
+    "fan_out",
+    "pick_audio",
     "choose_voice",
     "run_acquisition",
     "run_refinement",
@@ -63,22 +69,25 @@ def choose_voice(seed: int, sample_id: str, voice_pool: Sequence[str]) -> str:
     return voice_pool[rng.randrange(len(voice_pool))]
 
 
-def _fan_out(
+def fan_out(
     what: str,
     samples: Sequence[Sample],
     make_task: Callable[[Sample], Callable[[], Any]],
+    *,
     max_in_flight: int,
     budget: float,
 ) -> List[Tuple[Sample, Any]]:
     """Run one task per sample, once each, and keep the survivors.
 
     Every task is made before any runs. Each failure is logged with its
-    sample id and dropped; a failed share over `budget` raises
-    FailureBudgetExceeded. The phases allow DEFAULT_FAILURE_BUDGET; a
-    standalone command allows 0.0, so one failed sample fails it.
-    Returns (sample, value) pairs in input order.
+    sample id and dropped. When the failed share is over `budget`, raise
+    FailureBudgetExceeded rather than let the loss bias what is computed
+    downstream; an empty batch never raises. The phases allow
+    DEFAULT_FAILURE_BUDGET; a standalone command allows 0.0, so one
+    failed sample fails it. Returns (sample, value) pairs in input order.
     """
     samples = list(samples)
+    # looked up in this module's globals, where perfbench's tracer wraps it
     results = run_batch([make_task(s) for s in samples], max_in_flight=max_in_flight)
     survivors = []
     for sample, result in zip(samples, results):
@@ -86,7 +95,9 @@ def _fan_out(
             survivors.append((sample, result.value))
         else:
             log.warning("%s failed for %s: %s", what, sample.id, result.error)
-    enforce_failure_budget(results, budget)
+    failed = len(samples) - len(survivors)
+    if samples and failed / len(samples) > budget:
+        raise FailureBudgetExceeded(what, failed, len(samples), budget)
     return survivors
 
 
@@ -124,12 +135,13 @@ def run_acquisition(
 
         return work
 
-    acquired = _fan_out("synthesis", samples, make_task, max_in_flight,
-                        budget=DEFAULT_FAILURE_BUDGET)
+    acquired = fan_out("synthesis", samples, make_task, max_in_flight=max_in_flight,
+                       budget=DEFAULT_FAILURE_BUDGET)
     return [out for _, out in acquired]
 
 
-def _pick_audio(sample: Sample, source: SpeechSource) -> Tuple[AudioRef, SpeechUsed]:
+def pick_audio(sample: Sample, source: SpeechSource) -> Tuple[AudioRef, SpeechUsed]:
+    """The sample's audio in `source`'s order of preference, and which it is."""
     if source is SpeechSource.PREFER_AUTHENTIC:
         order = (
             (sample.authentic_audio, SpeechUsed.AUTHENTIC),
@@ -170,7 +182,7 @@ def run_refinement(
         log.warning("refinement skipped %d degraded sample(s)", skipped)
 
     def make_task(sample: Sample) -> Callable[[], ScoredSample]:
-        audio, used = _pick_audio(sample, config.speech_source)
+        audio, used = pick_audio(sample, config.speech_source)
 
         def work() -> ScoredSample:
             text_only = translate.translate("mt", sample.text, None, sample.direction)
@@ -181,8 +193,8 @@ def run_refinement(
 
         return work
 
-    scored = _fan_out("refinement", active, make_task, max_in_flight,
-                      budget=DEFAULT_FAILURE_BUDGET)
+    scored = fan_out("refinement", active, make_task, max_in_flight=max_in_flight,
+                     budget=DEFAULT_FAILURE_BUDGET)
     return [item for _, item in scored]
 
 
@@ -283,8 +295,8 @@ def run_evaluation(
 
         return work
 
-    scored = _fan_out("evaluation", eval_samples, make_task, max_in_flight,
-                      budget=DEFAULT_FAILURE_BUDGET)
+    scored = fan_out("evaluation", eval_samples, make_task,
+                     max_in_flight=max_in_flight, budget=DEFAULT_FAILURE_BUDGET)
     values = [value for _, value in scored]
     per_direction: dict = {}
     for sample, value in scored:

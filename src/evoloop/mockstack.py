@@ -93,9 +93,7 @@ def wire_stack(
 def build_mock_stack(
     workspace: str,
     translator=None,
-    scorer=None,
     eval_schedule: Optional[Sequence[float]] = None,
-    known_voices: Optional[frozenset] = None,
 ) -> MockStack:
     """Build cached clients over deterministic in-process backends.
 
@@ -109,16 +107,13 @@ def build_mock_stack(
     contend for the GIL and the cache lock: the stack fans out at width 1.
     """
     version = ModelVersion(0)
-    tts_backend = MockTts(known_voices=known_voices)
     translate_backend = translator if translator is not None else ContrastTranslator()
-    if scorer is not None:
-        score_backend = scorer
-    elif eval_schedule is not None:
+    if eval_schedule is not None:
         score_backend = ScheduledScorer(
             list(eval_schedule), version_provider=lambda: version.value
         )
     else:
         score_backend = MockScorer()
 
-    return wire_stack(workspace, version, tts_backend, translate_backend, score_backend,
+    return wire_stack(workspace, version, MockTts(), translate_backend, score_backend,
                       max_in_flight=1)

@@ -1,17 +1,15 @@
 """Retry policy and bounded-parallel batch execution."""
 
+import logging
 import random
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from evoloop.backends import (
-    BatchResult,
-    enforce_failure_budget,
-    run_batch,
-    with_retry,
-)
+from evoloop.backends import run_batch, with_retry
+from evoloop.evolution import DEFAULT_FAILURE_BUDGET, fan_out
 from evoloop.errors import (
     BackendUnavailable,
     FailureBudgetExceeded,
@@ -139,21 +137,44 @@ class TestRunBatch:
 
 
 class TestFailureBudget:
-    def _results(self, failed, total):
-        out = []
-        for i in range(total):
-            ok = i >= failed
-            out.append(BatchResult(ok=ok, error=None if ok else RuntimeError("x")))
-        return out
+    """fan_out drops each failed item and stops once the failed share is
+    over its budget."""
+
+    @staticmethod
+    def _run(failing, total, width=1):
+        items = [SimpleNamespace(id=f"s{i}") for i in range(total)]
+
+        def make_task(item):
+            def task():
+                if item.id in failing:
+                    raise RuntimeError("scripted")
+                return item.id.upper()
+            return task
+
+        return fan_out("scoring", items, make_task, max_in_flight=width,
+                       budget=DEFAULT_FAILURE_BUDGET)
 
     def test_at_budget_passes(self):
-        enforce_failure_budget(self._results(5, 100), budget=0.05)
+        survivors = self._run({f"s{i}" for i in range(5)}, 100)
+        assert len(survivors) == 95
 
     def test_over_budget_raises(self):
         with pytest.raises(FailureBudgetExceeded) as exc:
-            enforce_failure_budget(self._results(6, 100), budget=0.05)
-        assert exc.value.failed == 6
-        assert exc.value.total == 100
+            self._run({f"s{i}" for i in range(6)}, 100)
+        assert (exc.value.what, exc.value.failed, exc.value.total) == ("scoring", 6, 100)
+        assert str(exc.value) == "scoring: 6/100 samples failed after retries (budget 5%)"
 
     def test_empty_results_pass(self):
-        enforce_failure_budget([], budget=0.05)
+        assert self._run(set(), 0) == []
+
+    def test_failed_item_is_logged_and_survivors_keep_input_order(self, caplog):
+        for width in (1, 4):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                survivors = self._run({"s7"}, 40, width=width)
+            assert [(item.id, value) for item, value in survivors] == [
+                (f"s{i}", f"S{i}") for i in range(40) if i != 7
+            ], width
+            assert [r.getMessage() for r in caplog.records] == [
+                "scoring failed for s7: scripted"
+            ], width

@@ -813,6 +813,34 @@ def test_report_rounds_empty_workspace(tmp_path, capsys):
     assert "no completed rounds" in err
 
 
+GOOD_STATE = {"round_index": 1, "eval_score": 0.5, "delta_vs_best": 0.25,
+              "status": "improved"}
+
+
+@pytest.mark.parametrize("ledger, state, code, message", [
+    # a ledger that is not an object has no baseline row, like one that does not parse
+    ([], GOOD_STATE, 0, None),
+    ("{", GOOD_STATE, 0, None),
+    # a state file the table cannot read names itself
+    ({"baseline": 0.25}, [], 1, "round state is not a JSON object"),
+    ({"baseline": 0.25}, {"round_index": 1}, 1, "round state lacks 'eval_score'"),
+], ids=["ledger-list", "ledger-unparsable", "state-list", "state-missing-key"])
+def test_report_rounds_malformed_workspace_files(tmp_path, capsys, ledger, state, code,
+                                                 message):
+    ws = tmp_path / "ws"
+    state_path = ws / "rounds" / "1" / "state.json"
+    state_path.parent.mkdir(parents=True)
+    state_path.write_text(json.dumps(state))
+    (ws / "journal.json").write_text(ledger if isinstance(ledger, str) else json.dumps(ledger))
+    assert main(["report", "rounds", "--workspace", str(ws)]) == code
+    out, err = capsys.readouterr()
+    if message is None:
+        assert out.splitlines()[1].split() == ["1", "50.0", "+25.0", "improved"]
+        assert err == ""
+    else:
+        assert err == f"error: {state_path}: {message}\n"
+
+
 def test_report_rounds_multi_direction_columns(tmp_path, capsys):
     write_manifest(tmp_path / "train.jsonl", make_rows(6))
     mixed = make_rows(2, tgt="lao", stem="omega") + make_rows(2, tgt="mya", stem="psi")
@@ -1078,12 +1106,14 @@ def test_http_stack_fans_out_at_eight(tmp_path):
 def test_fan_out_width_has_no_default():
     # the stack owns the width; every fan-out takes it from its caller
     for fn in (run_batch, run_acquisition, run_refinement, run_evaluation, run_loop,
-               wire_stack, phases._fan_out):
+               wire_stack, phases.fan_out):
         param = inspect.signature(fn).parameters["max_in_flight"]
         assert param.default is inspect.Parameter.empty, fn.__name__
     # and its caller sets the failure budget: the phases' share or a command's none
-    budget = inspect.signature(phases._fan_out).parameters["budget"]
-    assert budget.default is inspect.Parameter.empty
+    for name in ("max_in_flight", "budget"):
+        param = inspect.signature(phases.fan_out).parameters[name]
+        assert param.kind is inspect.Parameter.KEYWORD_ONLY, name
+        assert param.default is inspect.Parameter.empty, name
 
 
 def test_run_loop_requires_the_version_cell():
@@ -1148,5 +1178,5 @@ def test_score_fails_on_one_failed_sample(corpus_dir, capsys, monkeypatch):
     assert code == 1
     assert f"scoring failed for {ids[3]}" in err
     assert [i for i in ids if i in err] == [ids[3]]
-    assert "1/6 requests failed" in err
+    assert "scoring: 1/6 samples failed after retries (budget 0%)" in err
     assert not (corpus_dir / "ws" / "scores.jsonl").exists()
