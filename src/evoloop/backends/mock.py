@@ -7,7 +7,7 @@ which is what makes whole-pipeline runs reproducible byte for byte.
 
 Documented behaviors relied on by fixtures:
 - MockTts duration: target_duration_s when the request carries one, else
-  char_len(text)/15.0 seconds (a 15-chars-per-second speaking rate).
+  len(text)/15.0 seconds (a 15-chars-per-second speaking rate).
 - ContrastTranslator drops the final whitespace-separated token in MT mode
   and echoes in SMT mode (speech keeps the tail intact).
 - MockScorer is the harmonic F1 over whitespace token multisets of

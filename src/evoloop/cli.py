@@ -620,8 +620,43 @@ def cmd_loop(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
     return 0, {"command": "loop", "rounds": [state.to_json() for state in history]}
 
 
-# what `report rounds` reads from each round's state.json
-_ROUND_KEYS = ("round_index", "eval_score", "delta_vs_best", "status")
+def _json_string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _json_number_map(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {value!r}")
+    for number in value.values():
+        _json_number(number)
+    return value
+
+
+# what `report rounds` reads from each round's state.json, and how it is checked
+_ROUND_KEYS = {"round_index": _json_integer, "eval_score": _json_number,
+               "delta_vs_best": _json_number, "status": _json_string}
+
+
+def _read_round_state(state_path: Path) -> dict:
+    try:
+        with open(state_path, encoding="utf-8") as fh:
+            state = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ResumeStateCorrupt(f"{state_path}: {exc}") from exc
+    if not isinstance(state, dict):
+        raise ResumeStateCorrupt(f"{state_path}: round state is not a JSON object")
+    missing = [key for key in _ROUND_KEYS if key not in state]
+    if missing:
+        raise ResumeStateCorrupt(f"{state_path}: round state lacks {missing[0]!r}")
+    for key, check in [*_ROUND_KEYS.items(), ("eval_by_direction", _json_number_map)]:
+        if key in state:
+            try:
+                check(state[key])
+            except TypeError as exc:
+                raise ResumeStateCorrupt(f"{state_path}: {key}: {exc}") from exc
+    return state
 
 
 def _read_round_states(ws: Path) -> Tuple[Optional[float], List[dict]]:
@@ -631,14 +666,7 @@ def _read_round_states(ws: Path) -> Tuple[Optional[float], List[dict]]:
         for sub in sorted(rounds_dir.iterdir(), key=lambda p: int(p.name) if p.name.isdigit() else 1 << 30):
             state_path = sub / "state.json"
             if state_path.is_file():
-                with open(state_path, encoding="utf-8") as fh:
-                    state = json.load(fh)
-                if not isinstance(state, dict):
-                    raise ResumeStateCorrupt(f"{state_path}: round state is not a JSON object")
-                missing = [key for key in _ROUND_KEYS if key not in state]
-                if missing:
-                    raise ResumeStateCorrupt(f"{state_path}: round state lacks {missing[0]!r}")
-                states.append(state)
+                states.append(_read_round_state(state_path))
     if not states:
         raise NoRounds(f"no completed rounds under {rounds_dir}")
     # a ledger that is missing, unreadable or not an object has no baseline row

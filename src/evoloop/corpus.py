@@ -159,11 +159,6 @@ class Sample:
     annotations: dict = field(default_factory=dict, compare=False)
 
     @property
-    def char_len(self) -> int:
-        """Unicode scalar count of the source text."""
-        return len(self.text)
-
-    @property
     def direction(self) -> tuple[str, str]:
         return (self.src_lang, self.tgt_lang)
 

@@ -224,9 +224,7 @@ def run_loop(
 
         def load_state():
             with open(state_path, encoding="utf-8") as fh:
-                obj = json.load(fh)
-            obj.pop("warnings", None)
-            return RoundState.from_json(obj)
+                return RoundState.from_json(json.load(fh))
 
         def evaluate_round():
             rows = scored()

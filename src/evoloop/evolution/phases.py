@@ -213,7 +213,7 @@ def partition_and_emit(
     scored: Sequence[ScoredSample],
     round_index: int,
     out_dir: str,
-    workspace: Optional[str] = None,
+    workspace: str,
 ) -> PartitionResult:
     """Split scored samples by label and emit the continual-training spec.
 
@@ -222,8 +222,8 @@ def partition_and_emit(
     positives there is nothing to train on, so the spec is null and the
     result carries a warning instead of failing the round.
 
-    When `workspace` is given, the JobSpec stores the positives path
-    relative to it, keeping journals relocatable.
+    The JobSpec stores the positives path relative to `workspace`,
+    keeping journals relocatable.
     """
     scored = list(scored)
     if not scored:
@@ -237,15 +237,9 @@ def partition_and_emit(
     write_jsonl(pos_path, (s.to_row() for s in positives))
     write_jsonl(neg_path, (s.to_row() for s in negatives))
 
-    if workspace is not None:
-        dataset_ref = os.path.relpath(pos_path, workspace).replace(os.sep, "/")
-        root: Optional[str] = str(workspace)
-    else:
-        dataset_ref = str(pos_path)
-        root = None
-
     if positives:
-        jobspec = curriculum.continual_spec(dataset_ref, round_index, root=root)
+        dataset_ref = os.path.relpath(pos_path, workspace).replace(os.sep, "/")
+        jobspec = curriculum.continual_spec(dataset_ref, root=workspace)
         warning = None
     else:
         jobspec = None

@@ -824,13 +824,26 @@ GOOD_STATE = {"round_index": 1, "eval_score": 0.5, "delta_vs_best": 0.25,
     # a state file the table cannot read names itself
     ({"baseline": 0.25}, [], 1, "round state is not a JSON object"),
     ({"baseline": 0.25}, {"round_index": 1}, 1, "round state lacks 'eval_score'"),
-], ids=["ledger-list", "ledger-unparsable", "state-list", "state-missing-key"])
+    ({"baseline": 0.25}, "{", 1,
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ({"baseline": 0.25}, {**GOOD_STATE, "eval_score": "x"}, 1,
+     "eval_score: expected a number, got 'x'"),
+    ({"baseline": 0.25}, {**GOOD_STATE, "eval_score": True}, 1,
+     "eval_score: expected a number, got True"),
+    ({"baseline": 0.25}, {**GOOD_STATE, "status": 3}, 1, "status: expected a string, got 3"),
+    ({"baseline": 0.25}, {**GOOD_STATE, "eval_by_direction": 5}, 1,
+     "eval_by_direction: expected an object, got 5"),
+    ({"baseline": 0.25}, {**GOOD_STATE, "eval_by_direction": {"eng-lao": "x"}}, 1,
+     "eval_by_direction: expected a number, got 'x'"),
+], ids=["ledger-list", "ledger-unparsable", "state-list", "state-missing-key",
+        "state-unparsable", "state-score-string", "state-score-bool", "state-status-number",
+        "state-directions-number", "state-direction-string"])
 def test_report_rounds_malformed_workspace_files(tmp_path, capsys, ledger, state, code,
                                                  message):
     ws = tmp_path / "ws"
     state_path = ws / "rounds" / "1" / "state.json"
     state_path.parent.mkdir(parents=True)
-    state_path.write_text(json.dumps(state))
+    state_path.write_text(state if isinstance(state, str) else json.dumps(state))
     (ws / "journal.json").write_text(ledger if isinstance(ledger, str) else json.dumps(ledger))
     assert main(["report", "rounds", "--workspace", str(ws)]) == code
     out, err = capsys.readouterr()

@@ -106,11 +106,6 @@ class TestHashSample:
 
 
 class TestSample:
-    def test_char_len_counts_unicode_scalars(self):
-        s = Sample.build("eng", "cmn", "á𝄞中", "ref")
-        # 'a' + combining acute + one astral scalar + one CJK scalar
-        assert s.char_len == 4
-
     def test_build_derives_id(self):
         s = Sample.build("eng", "khm", "Hello world.", KHMER_REF)
         assert s.id == hash_sample("Hello world.", KHMER_REF, "eng", "khm")

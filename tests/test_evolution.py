@@ -333,20 +333,20 @@ def synthetic_scored(pairs, start=0):
 class TestPartition:
     def test_counts_and_membership(self, tmp_path):
         scored = synthetic_scored([(0.2, 0.5), (0.5, 0.2), (0.4, 0.4), (0.1, 0.9)])
-        result = partition_and_emit(scored, 1, str(tmp_path / "r1"))
+        result = partition_and_emit(scored, 1, str(tmp_path / "r1"), workspace=str(tmp_path))
         assert (result.n_positive, result.n_negative) == (2, 2)
         pos = load_manifest(result.positives_path, strict=True)
         neg = load_manifest(result.negatives_path, strict=True)
         assert {s.id for s in pos} == {scored[0].sample_id, scored[3].sample_id}
         assert {s.id for s in neg} == {scored[1].sample_id, scored[2].sample_id}
         assert result.jobspec is not None
-        assert list(result.jobspec.datasets) == [result.positives_path]
+        assert list(result.jobspec.datasets) == ["r1/positives.jsonl"]
 
     def test_partition_law_random(self, tmp_path):
         rng = random.Random(77)
         pairs = [(rng.randint(0, 64) / 64, rng.randint(0, 64) / 64) for _ in range(200)]
         scored = synthetic_scored(pairs)
-        result = partition_and_emit(scored, 2, str(tmp_path / "r2"))
+        result = partition_and_emit(scored, 2, str(tmp_path / "r2"), workspace=str(tmp_path))
         pos_ids = {s.id for s in load_manifest(result.positives_path)}
         neg_ids = {s.id for s in load_manifest(result.negatives_path)}
         assert pos_ids.isdisjoint(neg_ids)
@@ -356,7 +356,7 @@ class TestPartition:
 
     def test_manifest_rows_carry_scores(self, tmp_path):
         scored = synthetic_scored([(0.25, 0.75)])
-        result = partition_and_emit(scored, 1, str(tmp_path / "r1"))
+        result = partition_and_emit(scored, 1, str(tmp_path / "r1"), workspace=str(tmp_path))
         row = json.loads(Path(result.positives_path).read_text().strip())
         assert row["s1"] == 0.25 and row["s2"] == 0.75
         assert row["label"] == "Positive"
@@ -365,7 +365,7 @@ class TestPartition:
 
     def test_all_negative_yields_null_jobspec(self, tmp_path):
         scored = synthetic_scored([(0.5, 0.5), (0.9, 0.1)])
-        result = partition_and_emit(scored, 3, str(tmp_path / "r3"))
+        result = partition_and_emit(scored, 3, str(tmp_path / "r3"), workspace=str(tmp_path))
         assert result.jobspec is None
         assert result.warning and "no positive samples" in result.warning
         assert Path(result.positives_path).read_text() == ""
@@ -373,7 +373,7 @@ class TestPartition:
 
     def test_empty_scored_rejected(self, tmp_path):
         with pytest.raises(EmptyInput):
-            partition_and_emit([], 1, str(tmp_path))
+            partition_and_emit([], 1, str(tmp_path), workspace=str(tmp_path))
 
     def test_workspace_relative_jobspec_path(self, tmp_path):
         scored = synthetic_scored([(0.1, 0.2)])
@@ -383,8 +383,8 @@ class TestPartition:
 
     def test_identical_input_identical_manifests_across_rounds(self, tmp_path):
         scored = synthetic_scored([(0.2, 0.6), (0.6, 0.2)])
-        r1 = partition_and_emit(scored, 1, str(tmp_path / "r1"))
-        r2 = partition_and_emit(scored, 2, str(tmp_path / "r2"))
+        r1 = partition_and_emit(scored, 1, str(tmp_path / "r1"), workspace=str(tmp_path))
+        r2 = partition_and_emit(scored, 2, str(tmp_path / "r2"), workspace=str(tmp_path))
         assert Path(r1.positives_path).read_bytes() == Path(r2.positives_path).read_bytes()
         assert Path(r1.negatives_path).read_bytes() == Path(r2.negatives_path).read_bytes()
 
@@ -392,7 +392,7 @@ class TestPartition:
         rng = random.Random(4242)
         pairs = [(rng.randint(0, 64) / 64, rng.randint(0, 64) / 64) for _ in range(60)]
         scored = synthetic_scored(pairs)
-        base = partition_and_emit(scored, 1, str(tmp_path / "base"))
+        base = partition_and_emit(scored, 1, str(tmp_path / "base"), workspace=str(tmp_path))
         base_pos = [s.id for s in load_manifest(base.positives_path)]
         base_neg = [s.id for s in load_manifest(base.negatives_path)]
 
@@ -413,7 +413,8 @@ class TestPartition:
                 )
             for before, after in zip(scored, mapped):
                 assert after.label is before.label
-            out = partition_and_emit(mapped, 1, str(tmp_path / f"t{trial}"))
+            out = partition_and_emit(mapped, 1, str(tmp_path / f"t{trial}"),
+                                     workspace=str(tmp_path))
             assert [s.id for s in load_manifest(out.positives_path)] == base_pos
             assert [s.id for s in load_manifest(out.negatives_path)] == base_neg
             assert (out.jobspec is None) == (base.jobspec is None)
