@@ -669,14 +669,22 @@ def _read_round_states(ws: Path) -> Tuple[Optional[float], List[dict]]:
                 states.append(_read_round_state(state_path))
     if not states:
         raise NoRounds(f"no completed rounds under {rounds_dir}")
-    # a ledger that is missing, unreadable or not an object has no baseline row
-    ledger = None
+    # a ledger that is missing, unreadable or not an object, or that holds
+    # no baseline, has no baseline row; a baseline that is not a number is
+    # an error, as a mistyped state.json value is
+    ledger_path = ws / "journal.json"
     try:
-        with open(ws / "journal.json", encoding="utf-8") as fh:
+        with open(ledger_path, encoding="utf-8") as fh:
             ledger = json.load(fh)
     except (OSError, json.JSONDecodeError):
-        pass
-    return (ledger.get("baseline") if isinstance(ledger, dict) else None), states
+        return None, states
+    baseline = ledger.get("baseline") if isinstance(ledger, dict) else None
+    if baseline is not None:
+        try:
+            _json_number(baseline)
+        except TypeError as exc:
+            raise ResumeStateCorrupt(f"{ledger_path}: baseline: {exc}") from exc
+    return baseline, states
 
 
 def cmd_report_rounds(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:

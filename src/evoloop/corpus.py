@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import io
 import json
 import logging
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .atomic import write_jsonl
 from .errors import (
@@ -266,28 +267,36 @@ def sample_from_json(obj: dict, line_no: int | None = None, strict: bool = False
     )
 
 
-def iter_manifest(path: str | Path, strict: bool = False) -> Iterator[tuple[int, Sample]]:
-    """Yield (line_no, sample) pairs; raises on the first invalid line."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(line_no, exc.msg) from exc
-            if not isinstance(obj, dict):
-                raise MalformedLine(line_no, "not a JSON object")
-            yield line_no, sample_from_json(obj, line_no, strict=strict)
+def _parse_lines(lines: Iterable[str], strict: bool) -> list[Sample]:
+    samples = []
+    for line_no, raw in enumerate(lines, 1):
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise MalformedLine(line_no, exc.msg) from exc
+        if not isinstance(obj, dict):
+            raise MalformedLine(line_no, "not a JSON object")
+        samples.append(sample_from_json(obj, line_no, strict=strict))
+    return samples
 
 
-def load_manifest(path: str | Path, strict: bool = False) -> list[Sample]:
+def load_manifest(
+    path: str | Path, strict: bool = False, *, data: bytes | None = None
+) -> list[Sample]:
     """Load a JSONL manifest, validating every line.
 
     Samples come back in file order; ids are recomputed and verified against
-    any stored id field.
+    any stored id field; the first invalid line raises. `data`, when given,
+    is the file's content already read: it is parsed as the file would be,
+    and the file is not opened again. Either way lines are decoded and
+    split as they stream, so no decoded copy of the whole file is held.
     """
-    return [sample for _, sample in iter_manifest(path, strict=strict)]
+    if data is not None:
+        return _parse_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), strict)
+    with open(path, encoding="utf-8") as fh:
+        return _parse_lines(fh, strict)
 
 
 def save_manifest(samples: Iterable[Sample], path: str | Path) -> None:

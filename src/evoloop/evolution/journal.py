@@ -5,7 +5,9 @@ single ledger file (`journal.json`) at the workspace root. Acquisition
 runs once per run, so only `rounds/1/` holds its manifest. A resumed run
 trusts a phase only when the ledger entry exists and the file bytes
 still hash to the recorded digest; anything else inside a recorded entry
-is treated as corruption rather than silently recomputed.
+is treated as corruption rather than silently recomputed. A resume reads
+each journaled file once: `Journal.phase_done` hands back the bytes it
+hashed, and every parse of the phase uses those bytes.
 
 All writes, the ledger's and every phase file's, go through
 `atomic.write_atomic` (temp file plus rename), so a kill can never leave
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
@@ -30,6 +33,7 @@ LEDGER_NAME = "journal.json"
 # 2: acquisition journaled once, under round 1
 LEDGER_FORMAT = 2
 ROUNDS_DIR = "rounds"
+_READ_SIZE = 1 << 20
 
 ACQUISITION = "acquisition"
 REFINEMENT = "refinement"
@@ -53,12 +57,26 @@ def _phase_files(round_index: int, phase: str) -> List[str]:
     return [round_file(round_index, name) for name in PHASE_FILES[phase]]
 
 
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _read_file(path: str) -> Optional[bytes]:
+    """The file's whole content, or None when no file stands at path.
+
+    One os.open, then unbuffered reads to end of file: a journaled file
+    mostly fits one read, and a buffered file object costs more than the
+    read itself.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+        return b"".join(chunks)
+    except IsADirectoryError:
+        return None
+    finally:
+        os.close(fd)
 
 
 def write_json(path: Path, obj) -> None:
@@ -70,6 +88,9 @@ def write_json(path: Path, obj) -> None:
 class Journal:
     def __init__(self, workspace: str):
         self.workspace = Path(workspace)
+        # the workspace as a string ending in a separator: a journaled
+        # file's path is root + its workspace-relative path
+        self.root = os.path.join(workspace, "")
         self.ledger_path = self.workspace / LEDGER_NAME
         self._ledger: dict = {}
 
@@ -114,11 +135,6 @@ class Journal:
     def _flush(self) -> None:
         write_json(self.ledger_path, self._ledger)
 
-    # --- paths ----------------------------------------------------------
-
-    def round_dir(self, round_index: int) -> Path:
-        return self.workspace / ROUNDS_DIR / str(round_index)
-
     # --- baseline and version -------------------------------------------
 
     def has_baseline(self) -> bool:
@@ -136,22 +152,30 @@ class Journal:
 
     # --- phases -----------------------------------------------------------
 
-    def phase_done(self, round_index: int, phase: str) -> bool:
+    def phase_done(self, round_index: int, phase: str) -> Optional[Dict[str, bytes]]:
+        """The journaled phase's files as {workspace-relative path: bytes},
+        or None when the phase is not journaled.
+
+        Each file is read once and its digest checked against the ledger;
+        the bytes returned are the bytes that were checked.
+        """
         entry = self._ledger.get("rounds", {}).get(str(round_index), {}).get(phase)
         if entry is None:
-            return False
+            return None
         files = entry.get("files", {})
-        if set(files) != set(_phase_files(round_index, phase)):
+        if files.keys() != set(_phase_files(round_index, phase)):
             raise ResumeStateCorrupt(
                 f"round {round_index} {phase}: ledger file set does not match layout"
             )
+        contents = {}
         for rel_path, digest in files.items():
-            path = self.workspace / rel_path
-            if not path.is_file():
+            data = _read_file(self.root + rel_path)
+            if data is None:
                 raise ResumeStateCorrupt(f"journaled file missing: {rel_path}")
-            if _sha256_file(path) != digest:
+            if hashlib.sha256(data).hexdigest() != digest:
                 raise ResumeStateCorrupt(f"journaled file modified: {rel_path}")
-        return True
+            contents[rel_path] = data
+        return contents
 
     def record_phase(
         self,
@@ -169,10 +193,10 @@ class Journal:
             raise ValueError(f"unknown phase: {phase}")
         files = {}
         for rel_path in _phase_files(round_index, phase):
-            path = self.workspace / rel_path
-            if not path.is_file():
-                raise FileNotFoundError(f"phase output not written: {path}")
-            files[rel_path] = _sha256_file(path)
+            data = _read_file(self.root + rel_path)
+            if data is None:
+                raise FileNotFoundError(f"phase output not written: {self.workspace / rel_path}")
+            files[rel_path] = hashlib.sha256(data).hexdigest()
         entry: dict = {"files": files}
         if trained is not None:
             entry["trained"] = bool(trained)

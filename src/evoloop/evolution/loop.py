@@ -6,16 +6,17 @@ of re-executed, so a killed run finishes without re-invoking backends
 for completed work; an interrupted phase re-runs through the content
 cache and converges to the same bytes.
 
-A resume checks every journaled file's digest at its step, but parses a
-phase's rows only when a later fresh step uses them: the acquisition
-manifest when some round refines afresh, a round's scored rows when its
-update or evaluation runs afresh. Each round's `state.json` is always
-read, because the history and the convergence check need it.
+A resume reads each journaled file once, at its step, and checks its
+digest; every parse uses those checked bytes, so a file changed after
+its check is never parsed. A phase's rows are parsed only when a later
+fresh step uses them: the acquisition manifest when some round refines
+afresh, a round's scored rows when its update or evaluation runs
+afresh. Each round's `state.json` is always parsed, because the history
+and the convergence check need it.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 from typing import Callable, List, Optional, Sequence
@@ -103,6 +104,20 @@ def _report(on_phase, round_index: int, phase: str, source: str) -> None:
         on_phase(round_index, phase, source)
 
 
+def _once(load, contents):
+    """A getter for `load(contents)`: the first call parses, later calls
+    return that value, and the bytes are dropped once parsed."""
+    value = None
+
+    def get():
+        nonlocal contents, value
+        if contents is not None:
+            value, contents = load(contents), None
+        return value
+
+    return get
+
+
 def run_loop(
     train_samples: Sequence[Sample],
     eval_samples: Sequence[Sample],
@@ -151,13 +166,14 @@ def run_loop(
         """Check a journaled phase, or run it and journal its files.
 
         Returns a function that gives the phase's value: a journaled
-        phase is parsed by `load` on the first call, so a value no fresh
-        step asks for is never parsed. `run` writes the phase's files and
-        returns (value, trained); `trained` is None except for the
-        update phase.
+        phase is parsed by `load`, from the {path: bytes} whose digests the
+        journal checked, on the first call, so a value no fresh step asks
+        for is never parsed. `run` writes the phase's files and returns
+        (value, trained); `trained` is None except for the update phase.
         """
-        if jrnl.phase_done(round_index, phase):
-            get, source = functools.cache(load), "journal"
+        contents = jrnl.phase_done(round_index, phase)
+        if contents is not None:
+            get, source = _once(load, contents), "journal"
         else:
             value, trained = run()
             jrnl.record_phase(round_index, phase, trained=trained)
@@ -179,8 +195,9 @@ def run_loop(
         jrnl.set_baseline(baseline)
     _report(on_phase, 0, "baseline", source)
 
+    root = jrnl.root
     acq_rel = journal_mod.round_file(1, "acquisition.jsonl")
-    acq_path = jrnl.workspace / acq_rel
+    acq_path = root + acq_rel
 
     def acquire():
         acquired = run_acquisition(
@@ -189,15 +206,17 @@ def run_loop(
         save_manifest(acquired, acq_path)
         return acquired, None
 
-    acquired = step(
-        1, journal_mod.ACQUISITION, lambda: load_manifest(acq_path, strict=True), acquire
-    )
+    def load_acquired(contents):
+        return load_manifest(acq_path, strict=True, data=contents[acq_rel])
+
+    acquired = step(1, journal_mod.ACQUISITION, load_acquired, acquire)
 
     history: List[RoundState] = []
     for k in range(1, config.max_rounds + 1):
-        rdir = jrnl.round_dir(k)
-        scored_path = rdir / "scored.jsonl"
-        state_path = rdir / "state.json"
+        rdir = f"{root}{journal_mod.ROUNDS_DIR}/{k}"
+        scored_rel = journal_mod.round_file(k, "scored.jsonl")
+        state_rel = journal_mod.round_file(k, "state.json")
+        scored_path, state_path = root + scored_rel, root + state_rel
 
         def refine():
             scored = run_refinement(
@@ -207,24 +226,24 @@ def run_loop(
             write_jsonl(scored_path, (s.to_row() for s in scored))
             return scored, None
 
-        def load_scored():
-            return [ScoredSample.from_row(s) for s in load_manifest(scored_path, strict=True)]
+        def load_scored(contents):
+            rows = load_manifest(scored_path, strict=True, data=contents[scored_rel])
+            return [ScoredSample.from_row(s) for s in rows]
 
         scored = step(k, journal_mod.REFINEMENT, load_scored, refine)
 
         def update():
-            part = partition_and_emit(scored(), k, str(rdir), workspace=workspace)
+            part = partition_and_emit(scored(), k, rdir, workspace=workspace)
             trained = part.jobspec is not None
             if trained and update_hook is not None:
                 run_update_hook(update_hook, part.jobspec_path)
             return None, trained
 
-        step(k, journal_mod.UPDATE, lambda: None, update)
+        step(k, journal_mod.UPDATE, lambda contents: None, update)
         version.set(jrnl.model_version())
 
-        def load_state():
-            with open(state_path, encoding="utf-8") as fh:
-                return RoundState.from_json(json.load(fh))
+        def load_state(contents):
+            return RoundState.from_json(json.loads(contents[state_rel].decode("utf-8")))
 
         def evaluate_round():
             rows = scored()

@@ -815,43 +815,55 @@ def test_report_rounds_empty_workspace(tmp_path, capsys):
 
 GOOD_STATE = {"round_index": 1, "eval_score": 0.5, "delta_vs_best": 0.25,
               "status": "improved"}
+STATE, LEDGER = "rounds/1/state.json", "journal.json"
 
 
-@pytest.mark.parametrize("ledger, state, code, message", [
-    # a ledger that is not an object has no baseline row, like one that does not parse
-    ([], GOOD_STATE, 0, None),
-    ("{", GOOD_STATE, 0, None),
+@pytest.mark.parametrize("ledger, state, code, bad_file, message", [
+    # a ledger that is not an object has no baseline row, like one that does not
+    # parse, is missing, or holds no baseline
+    ([], GOOD_STATE, 0, None, None),
+    ("{", GOOD_STATE, 0, None, None),
+    (None, GOOD_STATE, 0, None, None),
+    ({}, GOOD_STATE, 0, None, None),
+    ({"baseline": None}, GOOD_STATE, 0, None, None),
     # a state file the table cannot read names itself
-    ({"baseline": 0.25}, [], 1, "round state is not a JSON object"),
-    ({"baseline": 0.25}, {"round_index": 1}, 1, "round state lacks 'eval_score'"),
-    ({"baseline": 0.25}, "{", 1,
+    ({"baseline": 0.25}, [], 1, STATE, "round state is not a JSON object"),
+    ({"baseline": 0.25}, {"round_index": 1}, 1, STATE, "round state lacks 'eval_score'"),
+    ({"baseline": 0.25}, "{", 1, STATE,
      "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-    ({"baseline": 0.25}, {**GOOD_STATE, "eval_score": "x"}, 1,
+    ({"baseline": 0.25}, {**GOOD_STATE, "eval_score": "x"}, 1, STATE,
      "eval_score: expected a number, got 'x'"),
-    ({"baseline": 0.25}, {**GOOD_STATE, "eval_score": True}, 1,
+    ({"baseline": 0.25}, {**GOOD_STATE, "eval_score": True}, 1, STATE,
      "eval_score: expected a number, got True"),
-    ({"baseline": 0.25}, {**GOOD_STATE, "status": 3}, 1, "status: expected a string, got 3"),
-    ({"baseline": 0.25}, {**GOOD_STATE, "eval_by_direction": 5}, 1,
+    ({"baseline": 0.25}, {**GOOD_STATE, "status": 3}, 1, STATE,
+     "status: expected a string, got 3"),
+    ({"baseline": 0.25}, {**GOOD_STATE, "eval_by_direction": 5}, 1, STATE,
      "eval_by_direction: expected an object, got 5"),
-    ({"baseline": 0.25}, {**GOOD_STATE, "eval_by_direction": {"eng-lao": "x"}}, 1,
+    ({"baseline": 0.25}, {**GOOD_STATE, "eval_by_direction": {"eng-lao": "x"}}, 1, STATE,
      "eval_by_direction: expected a number, got 'x'"),
-], ids=["ledger-list", "ledger-unparsable", "state-list", "state-missing-key",
+    # so does a ledger whose baseline is not a number
+    ({"baseline": "x"}, GOOD_STATE, 1, LEDGER, "baseline: expected a number, got 'x'"),
+    ({"baseline": True}, GOOD_STATE, 1, LEDGER, "baseline: expected a number, got True"),
+], ids=["ledger-list", "ledger-unparsable", "ledger-missing", "ledger-baseline-absent",
+        "ledger-baseline-null", "state-list", "state-missing-key",
         "state-unparsable", "state-score-string", "state-score-bool", "state-status-number",
-        "state-directions-number", "state-direction-string"])
+        "state-directions-number", "state-direction-string", "ledger-baseline-string",
+        "ledger-baseline-bool"])
 def test_report_rounds_malformed_workspace_files(tmp_path, capsys, ledger, state, code,
-                                                 message):
+                                                 bad_file, message):
     ws = tmp_path / "ws"
-    state_path = ws / "rounds" / "1" / "state.json"
+    state_path = ws / STATE
     state_path.parent.mkdir(parents=True)
     state_path.write_text(state if isinstance(state, str) else json.dumps(state))
-    (ws / "journal.json").write_text(ledger if isinstance(ledger, str) else json.dumps(ledger))
+    if ledger is not None:
+        (ws / LEDGER).write_text(ledger if isinstance(ledger, str) else json.dumps(ledger))
     assert main(["report", "rounds", "--workspace", str(ws)]) == code
     out, err = capsys.readouterr()
     if message is None:
         assert out.splitlines()[1].split() == ["1", "50.0", "+25.0", "improved"]
         assert err == ""
     else:
-        assert err == f"error: {state_path}: {message}\n"
+        assert err == f"error: {ws / bad_file}: {message}\n"
 
 
 def test_report_rounds_multi_direction_columns(tmp_path, capsys):

@@ -162,6 +162,21 @@ class TestLoadManifest:
             load_manifest(p)
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_given_bytes_split_lines_as_text_mode_open(self, tmp_path, newline):
+        # line numbers count \r and \r\n endings as a text-mode open() does;
+        # U+2028 inside a string value is not a line break
+        data = newline.join([_line(text="One\u2028two."), "", "{not json"]).encode("utf-8")
+        p = tmp_path / "m.jsonl"
+        p.write_bytes(data)
+        with open(p, encoding="utf-8") as fh:
+            assert len(list(fh)) == 3
+        with pytest.raises(MalformedLine) as exc:
+            load_manifest(tmp_path / "never-opened.jsonl", data=data)
+        assert exc.value.line_no == 3
+        (sample,) = load_manifest(p, data=data[:data.index(b"{not")])
+        assert sample.text == "One\u2028two."
+
     def test_non_object_line_is_malformed(self, tmp_path):
         p = tmp_path / "m.jsonl"
         _write_lines(p, ['["not", "an", "object"]'])

@@ -1,9 +1,12 @@
 """Self-evolution loop: labeling, phases, convergence, resume."""
 
+import builtins
 import hashlib
 import json
+import os
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -46,6 +49,7 @@ from evoloop.evolution import (
     run_refinement,
 )
 from evoloop.evolution import loop as loop_mod
+from evoloop.evolution.journal import Journal
 from evoloop.mockstack import build_mock_stack
 
 from helpers import EchoTranslator
@@ -690,9 +694,9 @@ def count_manifest_loads(monkeypatch, ws):
     run_loop parses."""
     loaded = []
 
-    def counting(path, strict=False):
+    def counting(path, strict=False, *, data=None):
         loaded.append(Path(path).relative_to(ws).as_posix())
-        return load_manifest(path, strict=strict)
+        return load_manifest(path, strict=strict, data=data)
 
     monkeypatch.setattr(loop_mod, "load_manifest", counting)
     return loaded
@@ -881,6 +885,101 @@ class TestRunLoop:
         assert stack2.version.value == 4
         assert stack2.tts_backend.calls.count == 0
         assert stack2.score_backend.calls.count == 0
+
+    def test_replay_reads_each_journaled_file_once(self, tmp_path, monkeypatch):
+        # the digest check reads each file, and state.json is parsed from
+        # those bytes rather than opened again
+        ws = tmp_path / "ws"
+        train, eval_samples, config, stack = loop_fixture(ws)
+        first = run_loop(
+            train, eval_samples, POOL, config, stack.backends, str(ws),
+            version=stack.version,
+            max_in_flight=stack.max_in_flight,
+        )
+        train2, eval2, config2, stack2 = loop_fixture(ws)
+        loaded = count_manifest_loads(monkeypatch, ws)
+        opened = []
+
+        def spying(real_open):
+            def spying_open(file, *args, **kwargs):
+                if isinstance(file, (str, os.PathLike)):
+                    opened.append(os.fspath(file))
+                return real_open(file, *args, **kwargs)
+            return spying_open
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", spying(builtins.open))
+            patch.setattr(os, "open", spying(os.open))
+            second = run_loop(
+                train2, eval2, POOL, config2, stack2.backends, str(ws),
+                version=stack2.version,
+                max_in_flight=stack2.max_in_flight,
+            )
+        assert second == first
+        journaled = Counter(
+            rel for rel in (os.path.relpath(path, ws).replace(os.sep, "/") for path in opened)
+            if rel in JOURNALED_FILES
+        )
+        assert journaled == Counter(JOURNALED_FILES)
+        assert loaded == []
+
+    def test_resume_parses_the_bytes_it_checked(self, tmp_path, monkeypatch):
+        # a state.json rewritten after its digest check is not what the
+        # resume returns: the history carries the verified values
+        ws = tmp_path / "ws"
+        train, eval_samples, config, stack = loop_fixture(ws)
+        first = run_loop(
+            train, eval_samples, POOL, config, stack.backends, str(ws),
+            version=stack.version,
+            max_in_flight=stack.max_in_flight,
+        )
+        checked = Journal.phase_done
+        rewritten = []
+
+        def check_then_rewrite(self, round_index, phase):
+            contents = checked(self, round_index, phase)
+            if contents is not None and phase == "evaluation":
+                path = ws / "rounds" / str(round_index) / "state.json"
+                state = json.loads(path.read_text(encoding="utf-8"))
+                state["eval_score"] = 0.0
+                path.write_text(json.dumps(state), encoding="utf-8")
+                rewritten.append(round_index)
+            return contents
+
+        monkeypatch.setattr(Journal, "phase_done", check_then_rewrite)
+        train2, eval2, config2, stack2 = loop_fixture(ws)
+        second = run_loop(
+            train2, eval2, POOL, config2, stack2.backends, str(ws),
+            version=stack2.version,
+            max_in_flight=stack2.max_in_flight,
+        )
+        assert rewritten == [1, 2, 3, 4]
+        assert second == first
+
+    @pytest.mark.parametrize("rel_path", JOURNALED_FILES)
+    @pytest.mark.parametrize("replacement", ["deleted", "directory"])
+    def test_missing_journal_file_is_corrupt(self, tmp_path, rel_path, replacement):
+        # a directory where a journaled file stood counts as a missing file
+        ws = tmp_path / "ws"
+        train, eval_samples, config, stack = loop_fixture(ws)
+        run_loop(
+            train, eval_samples, POOL, config, stack.backends, str(ws),
+            version=stack.version,
+            max_in_flight=stack.max_in_flight,
+        )
+        target = ws / rel_path
+        target.unlink()
+        if replacement == "directory":
+            target.mkdir()
+        train2, eval2, config2, stack2 = loop_fixture(ws)
+        with pytest.raises(ResumeStateCorrupt, match=re.escape(f"journaled file missing: {rel_path}")):
+            run_loop(
+                train2, eval2, POOL, config2, stack2.backends, str(ws),
+                version=stack2.version,
+                max_in_flight=stack2.max_in_flight,
+            )
+        for backend in (stack2.tts_backend, stack2.translate_backend, stack2.score_backend):
+            assert backend.calls.count == 0
 
     @pytest.mark.parametrize("rel_path", JOURNALED_FILES)
     def test_tampered_journal_is_corrupt(self, tmp_path, rel_path):
