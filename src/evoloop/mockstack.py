@@ -31,7 +31,8 @@ class MockStack:
     """The cached clients, their version cell and cache, the backends
     behind them, and the fan-out width those backends are run at. Used as
     a context manager, it closes on exit each backend that has a `close`
-    (an HTTP transport's kept-alive connections) and the cache."""
+    (an HTTP transport's kept-alive connections) and the cache, which
+    closes its log and frees the entries it holds in memory."""
 
     backends: Backends
     version: ModelVersion

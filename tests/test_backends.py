@@ -83,13 +83,23 @@ class FlakyWrapper:
         return call
 
 
+def stored_records(root) -> list[tuple[bytes, str]]:
+    """(key, response text) per record of the log, read past the cache:
+    a 32-byte key, a 4-byte little-endian length, then that many bytes."""
+    data = (Path(root) / "responses.log").read_bytes()
+    records = []
+    end = 0
+    while end < len(data):
+        key, length = data[end:end + 32], int.from_bytes(data[end + 32:end + 36], "little")
+        end += 36 + length
+        assert end <= len(data), "torn record"
+        records.append((key, data[end - length:end].decode("utf-8")))
+    return records
+
+
 def stored_texts(root) -> dict:
     """key -> response text, read past the cache."""
-    db = sqlite3.connect(Path(root) / "responses.db")
-    try:
-        return dict(db.execute("SELECT key, response FROM entries"))
-    finally:
-        db.close()
+    return dict(stored_records(root))
 
 
 def older_hash(payload) -> str:
@@ -158,7 +168,7 @@ class TestContentCache:
                 for i in range(20):
                     cache.put(entry_key(endpoint, ns, {"i": i}), {"ok": [endpoint, ns, i]})
         cache.close()
-        assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.db"]
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.log"]
         reopened = ContentCache(tmp_path / "cache")
         for endpoint in ("tts", "translate", "score"):
             for ns in ("v0", "v1"):
@@ -171,7 +181,7 @@ class TestContentCache:
         cache.put(entry_key("score", "v0", {"i": 1}), {"score": 0.5})
         assert cache.get(entry_key("score", "v0", {"i": 1})) == {"score": 0.5}
         del cache  # no close(), no garbage collection
-        assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.db"]
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.log"]
 
     def test_killed_writer_keeps_every_put(self, tmp_path):
         k = 25
@@ -233,41 +243,96 @@ class TestContentCache:
         assert cache.get(entry_key("tts", "v0", payload)) is None
         cache.close()
 
-    def test_older_responses_table_is_dropped(self, tmp_path):
-        payload = {"text": "hi", "voice_id": "v1"}
+    def test_older_sqlite_store_is_not_read(self, tmp_path):
+        backend = EchoTranslator()
+        sent = []
+        translate = backend.translate
+        backend.translate = lambda payload: sent.append(dict(payload)) or translate(payload)
+        TranslateClient(backend, ContentCache(tmp_path / "probe"),
+                        sleep=no_sleep).translate("mt", "once", None, ("eng", "deu"))
+        key = entry_key("translate", "v0", sent[0])
+        # the store the cache kept before the log, holding this very request
         (tmp_path / "cache").mkdir()
         db = sqlite3.connect(tmp_path / "cache" / "responses.db")
-        db.execute("CREATE TABLE responses (endpoint TEXT NOT NULL, namespace TEXT NOT NULL,"
-                   " key TEXT NOT NULL, response TEXT NOT NULL,"
-                   " PRIMARY KEY (endpoint, namespace, key)) WITHOUT ROWID")
-        db.execute("INSERT INTO responses VALUES ('tts', 'v0', ?, ?)",
-                   (older_hash(payload), json.dumps({"uri": "old.wav"})))
+        db.execute("CREATE TABLE entries (key BLOB PRIMARY KEY, response TEXT NOT NULL)"
+                   " WITHOUT ROWID")
+        db.execute("INSERT INTO entries VALUES (?, ?)", (key, '{"text":"old"}'))
         db.commit()
         db.close()
+        before = (tmp_path / "cache" / "responses.db").read_bytes()
         cache = ContentCache(tmp_path / "cache")
-        assert cache.get(entry_key("tts", "v0", payload)) is None
-        cache.put(entry_key("tts", "v0", payload), {"uri": "new.wav"})
-        assert cache.get(entry_key("tts", "v0", payload)) == {"uri": "new.wav"}
+        client = TranslateClient(backend, cache, sleep=no_sleep)
+        assert client.translate("mt", "once", None, ("eng", "deu")).text == "once"
         cache.close()
-        assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.db"]
-        db = sqlite3.connect(tmp_path / "cache" / "responses.db")
-        try:
-            tables = [name for (name,) in db.execute("SELECT name FROM sqlite_master WHERE type = 'table'")]
-        finally:
-            db.close()
-        assert tables == ["entries"]
+        assert len(sent) == 2
+        assert stored_texts(tmp_path / "cache") == {key: '{"text":"once"}'}
+        assert (tmp_path / "cache" / "responses.db").read_bytes() == before
 
+    @pytest.mark.parametrize("kept", [20, 36 + 5], ids=["in-header", "in-text"])
+    def test_torn_last_record_is_cut_off(self, tmp_path, kept):
+        def response(i):
+            return {"text": f"ជំរាបសួរ {i}", "n": i}
 
-def sql_tokens(sql: str) -> list[str]:
-    """The statement without its -- comments, split on whitespace."""
-    return re.sub(r"--[^\n]*", "", sql).split()
+        keys = [entry_key("translate", "v0", {"i": i}) for i in range(3)]
+        cache = ContentCache(tmp_path / "cache")
+        for i, key in enumerate(keys):
+            cache.put(key, response(i))
+        cache.close()
+        log = tmp_path / "cache" / "responses.log"
+        whole = log.stat().st_size - 36 - len(canonical_payload(response(2)).encode("utf-8"))
+        os.truncate(log, whole + kept)  # a put killed after `kept` bytes of its record
+        reopened = ContentCache(tmp_path / "cache")
+        assert [reopened.get(key) for key in keys] == [response(0), response(1), None]
+        assert log.stat().st_size == whole
+        reopened.put(keys[2], {"text": "again"})
+        reopened.close()
+        fresh = ContentCache(tmp_path / "cache")
+        assert [fresh.get(key) for key in keys] == [response(0), response(1), {"text": "again"}]
+        fresh.close()
+        assert [key for key, _ in stored_records(tmp_path / "cache")] == keys
+
+    def test_second_cache_on_one_root_reads_the_first_ones_puts(self, tmp_path):
+        keys = [entry_key("score", "v0", {"i": i}) for i in range(3)]
+        first = ContentCache(tmp_path / "cache")
+        first.put(keys[0], {"score": 0.0})
+        first.put(keys[1], {"score": 0.5})
+        # on disk when put returns, before any close()
+        assert stored_texts(tmp_path / "cache") == {
+            keys[0]: '{"score":0.0}', keys[1]: '{"score":0.5}'}
+        second = ContentCache(tmp_path / "cache")
+        assert [second.get(key) for key in keys] == [{"score": 0.0}, {"score": 0.5}, None]
+        second.put(keys[2], {"score": 1.0})
+        assert first.get(keys[2]) is None  # seen from the next open
+        first.close()
+        second.close()
+        fresh = ContentCache(tmp_path / "cache")
+        assert [fresh.get(key) for key in keys] == [{"score": 0.0}, {"score": 0.5}, {"score": 1.0}]
+        fresh.close()
+
+    def test_racing_puts_of_one_key_write_one_record(self, cache, tmp_path):
+        key = entry_key("score", "v0", {"i": 1})
+        both_missed = threading.Barrier(2, timeout=30)
+        missed = []
+
+        def worker():
+            missed.append(cache.get(key) is None)
+            both_missed.wait()
+            cache.put(key, {"score": 0.5})
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert missed == [True, True]
+        cache.close()
+        assert stored_records(tmp_path / "cache") == [(key, '{"score":0.5}')]
 
 
 def test_formats_doc_shows_the_cache_schema():
-    blocks = re.findall(r"```sql\n(.*?)```", FORMATS_DOC.read_text(encoding="utf-8"), re.S)
-    documented = [block for block in blocks if "CREATE TABLE" in block]
-    assert len(documented) == 1
-    assert sql_tokens(documented[0]) == sql_tokens(cache_module._SCHEMA)
+    doc = FORMATS_DOC.read_text(encoding="utf-8")
+    assert re.findall(r"`struct` format `([^`]+)`", doc) == [cache_module._HEADER.format]
 
 
 class TestMockTts:

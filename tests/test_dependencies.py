@@ -54,7 +54,7 @@ def test_https_transport_loads_ssl():
     assert "http.client" not in added
 
 
-DEFERRED = ("socket", "sqlite3", "subprocess", "csv", "concurrent.futures")
+DEFERRED = ("socket", "subprocess", "csv", "concurrent.futures")
 
 
 def test_cli_import_defers_rare_path_modules():
@@ -74,10 +74,6 @@ def _rounds_workspace(tmp_path: Path) -> str:
 LOADING_PATHS = {
     "socket": lambda tmp: "from evoloop.backends import HttpTransport\n"
                           "HttpTransport('http://model.invalid')",
-    "sqlite3": lambda tmp: "from evoloop.backends import ContentCache, entry_key\n"
-                           f"cache = ContentCache({str(tmp / 'cache')!r})\n"
-                           "cache.get(entry_key('score', 'v0', {}))\n"
-                           "cache.close()",
     "subprocess": lambda tmp: "import sys\n"
                               "from evoloop.evolution.loop import run_update_hook\n"
                               "run_update_hook('\"' + sys.executable + '\" -c pass {jobspec}',"
@@ -93,6 +89,24 @@ LOADING_PATHS = {
 def test_deferred_module_loads_on_its_own_path(tmp_path, module):
     added = modules_added(LOADING_PATHS[module](tmp_path))
     assert [name for name in DEFERRED if name in added] == [module]
+
+
+def test_cache_and_mock_loop_load_no_sqlite3(tmp_path):
+    rows = [{"src_lang": "eng", "tgt_lang": "khm", "text": f"a b {i}", "reference": f"a b {i}"}
+            for i in range(4)]
+    for name in ("train.jsonl", "eval.jsonl"):
+        (tmp_path / name).write_text("".join(json.dumps(row) + "\n" for row in rows))
+    added = modules_added("from evoloop.backends import ContentCache, entry_key\n"
+                          f"cache = ContentCache({str(tmp_path / 'cache')!r})\n"
+                          "cache.get(entry_key('score', 'v0', {}))\n"
+                          "cache.put(entry_key('score', 'v0', {}), {'score': 0.5})\n"
+                          "cache.close()\n"
+                          f"code = evoloop.cli.main(['loop', '--train', {str(tmp_path / 'train.jsonl')!r},"
+                          f" '--eval', {str(tmp_path / 'eval.jsonl')!r}, '--mock',"
+                          f" '--workspace', {str(tmp_path / 'ws')!r}])\n"
+                          "assert code == 0, code")
+    assert "sqlite3" not in added
+    assert (tmp_path / "ws" / "cache" / "responses.log").stat().st_size > 0
 
 
 def test_width_one_batch_starts_no_pool():
