@@ -44,9 +44,10 @@ from .corpus import (
     save_manifest,
     split_directions,
 )
-from .errors import EvoloopError, MissingHypotheses, NoRounds, ResumeStateCorrupt
+from .errors import EvoloopError, MissingHypotheses, NoRounds
 from .evolution import (
     EvolutionConfig,
+    Journal,
     ModelVersion,
     fan_out,
     partition_and_emit,
@@ -56,6 +57,7 @@ from .evolution import (
 )
 from .evolution.journal import write_json
 from .evolution.loop import run_loop
+from .evolution.types import json_fields, json_integer, json_number
 from .metrics.aggregate import (
     DirectionScore,
     aggregate_by_resource,
@@ -138,7 +140,8 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError("voices config must be a JSON list of strings")
         try:
             endpoints = {
-                name: EndpointConfig(**_config_section(spec, "endpoint"))
+                name: EndpointConfig(**json_fields(_config_section(spec, "endpoint"),
+                                                   EndpointConfig, prefix=f"endpoints.{name}."))
                 for name, spec in _config_section(raw.get("endpoints", {}), "endpoints").items()
             }
             metrics = _config_section(raw.get("metrics", {}), "metrics")
@@ -148,7 +151,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             cfg = RunConfig(
                 workspace=raw.get("workspace", cfg.workspace),
                 endpoints=endpoints,
-                evolution=EvolutionConfig.from_json(evolution),
+                evolution=EvolutionConfig.from_json(evolution, prefix="evolution."),
                 smoothing=metrics.get("smoothing", cfg.smoothing),
                 piece_table_path=metrics.get("piece_table_path"),
                 strict_manifests=raw.get("strict_manifests", cfg.strict_manifests),
@@ -344,18 +347,6 @@ def _language_pair(value) -> Tuple[str, str]:
     return tuple(value)
 
 
-def _json_number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _json_integer(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
 def _direction_rows(args: argparse.Namespace) -> List[DirectionScore]:
     """The --direction-scores rows that --direction selects."""
     path = args.direction_scores
@@ -370,9 +361,9 @@ def _direction_rows(args: argparse.Namespace) -> List[DirectionScore]:
         rows = [
             DirectionScore(
                 direction=_language_pair(obj["direction"]),
-                spbleu=_json_number(obj["spbleu"]),
-                comet=_json_number(obj["comet"]),
-                n_samples=_json_integer(obj.get("n_samples", 1)),
+                spbleu=json_number(obj["spbleu"]),
+                comet=json_number(obj["comet"]),
+                n_samples=json_integer(obj.get("n_samples", 1)),
             )
             for obj in (raw["rows"] if isinstance(raw, dict) else raw)
         ]
@@ -617,105 +608,34 @@ def cmd_loop(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
             f"delta={fmt1(state.delta_vs_best * 100, signed=True)} "
             f"{state.status.value}"
         )
-    return 0, {"command": "loop", "rounds": [state.to_json() for state in history]}
-
-
-def _json_string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-def _json_number_map(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected an object, got {value!r}")
-    for number in value.values():
-        _json_number(number)
-    return value
-
-
-# what `report rounds` reads from each round's state.json, and how it is checked
-_ROUND_KEYS = {"round_index": _json_integer, "eval_score": _json_number,
-               "delta_vs_best": _json_number, "status": _json_string}
-
-
-def _read_round_state(state_path: Path) -> dict:
-    try:
-        with open(state_path, encoding="utf-8") as fh:
-            state = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ResumeStateCorrupt(f"{state_path}: {exc}") from exc
-    if not isinstance(state, dict):
-        raise ResumeStateCorrupt(f"{state_path}: round state is not a JSON object")
-    missing = [key for key in _ROUND_KEYS if key not in state]
-    if missing:
-        raise ResumeStateCorrupt(f"{state_path}: round state lacks {missing[0]!r}")
-    for key, check in [*_ROUND_KEYS.items(), ("eval_by_direction", _json_number_map)]:
-        if key in state:
-            try:
-                check(state[key])
-            except TypeError as exc:
-                raise ResumeStateCorrupt(f"{state_path}: {key}: {exc}") from exc
-    return state
-
-
-def _read_round_states(ws: Path) -> Tuple[Optional[float], List[dict]]:
-    rounds_dir = ws / "rounds"
-    states = []
-    if rounds_dir.is_dir():
-        for sub in sorted(rounds_dir.iterdir(), key=lambda p: int(p.name) if p.name.isdigit() else 1 << 30):
-            state_path = sub / "state.json"
-            if state_path.is_file():
-                states.append(_read_round_state(state_path))
-    if not states:
-        raise NoRounds(f"no completed rounds under {rounds_dir}")
-    # a ledger that is missing, unreadable or not an object, or that holds
-    # no baseline, has no baseline row; a baseline that is not a number is
-    # an error, as a mistyped state.json value is
-    ledger_path = ws / "journal.json"
-    try:
-        with open(ledger_path, encoding="utf-8") as fh:
-            ledger = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None, states
-    baseline = ledger.get("baseline") if isinstance(ledger, dict) else None
-    if baseline is not None:
-        try:
-            _json_number(baseline)
-        except TypeError as exc:
-            raise ResumeStateCorrupt(f"{ledger_path}: baseline: {exc}") from exc
-    return baseline, states
+    # the loop report leaves out the per-direction scores and warnings that
+    # state.json and `report rounds` show
+    rounds = [{key: value for key, value in state.to_json().items()
+               if key not in ("eval_by_direction", "warnings")} for state in history]
+    return 0, {"command": "loop", "rounds": rounds}
 
 
 def cmd_report_rounds(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
-    baseline, states = _read_round_states(ws)
+    jrnl = Journal.read_only(str(ws))
+    states = list(jrnl.completed_rounds())
+    if not states:
+        raise NoRounds(f"no completed rounds in {ws}")
+    baseline = jrnl.baseline()
 
-    directions: List[str] = sorted(
-        {d for s in states for d in s.get("eval_by_direction", {})}
-    )
-    multi = len(directions) > 1
-    header = ["round", "eval", "delta", "status"]
-    if multi:
-        header += directions
-    table_rows: List[List[str]] = []
-    if baseline is not None:
-        row = ["base", fmt1(baseline * 100), "", ""]
-        if multi:
-            row += ["" for _ in directions]
-        table_rows.append(row)
+    # one column per direction, when there are several
+    directions = sorted({d for s in states for d in s.eval_by_direction})
+    if len(directions) < 2:
+        directions = []
+    header = ["round", "eval", "delta", "status"] + directions
+    table_rows = [["base", fmt1(baseline * 100)] + [""] * (len(header) - 2)]
     for s in states:
-        row = [
-            str(s["round_index"]),
-            fmt1(s["eval_score"] * 100),
-            fmt1(s["delta_vs_best"] * 100, signed=True),
-            s["status"],
-        ]
-        if multi:
-            by_dir = s.get("eval_by_direction", {})
-            row += [
-                fmt1(by_dir[d] * 100) if d in by_dir else "" for d in directions
-            ]
-        table_rows.append(row)
+        table_rows.append([
+            str(s.round_index),
+            fmt1(s.eval_score * 100),
+            fmt1(s.delta_vs_best * 100, signed=True),
+            s.status.value,
+        ] + [fmt1(s.eval_by_direction[d] * 100) if d in s.eval_by_direction else ""
+             for d in directions])
 
     widths = [max(len(h), *(len(r[i]) for r in table_rows)) for i, h in enumerate(header)]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
@@ -731,7 +651,8 @@ def cmd_report_rounds(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Out
         writer.writerows(table_rows)
         write_atomic(args.csv, buf.getvalue().encode("utf-8"))
 
-    return 0, {"command": "report-rounds", "baseline": baseline, "rounds": states}
+    return 0, {"command": "report-rounds", "baseline": baseline,
+               "rounds": [s.to_json() for s in states]}
 
 
 def cmd_report_resource(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:

@@ -21,13 +21,14 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..atomic import write_atomic
 from ..backends.cache import canonical_payload
 from ..errors import ResumeStateCorrupt
+from .types import RoundState, json_number
 
-__all__ = ["Journal", "PHASE_FILES", "round_file", "write_json"]
+__all__ = ["Journal", "PHASE_FILES", "load_round_state", "round_file", "write_json"]
 
 LEDGER_NAME = "journal.json"
 # 2: acquisition journaled once, under round 1
@@ -79,6 +80,16 @@ def _read_file(path: str) -> Optional[bytes]:
         os.close(fd)
 
 
+def load_round_state(round_index: int, contents: Dict[str, bytes]) -> RoundState:
+    """The round's state, parsed from its evaluation files as
+    `Journal.phase_done` returns them."""
+    rel_path = round_file(round_index, "state.json")
+    try:
+        return RoundState.from_json(json.loads(contents[rel_path].decode("utf-8")))
+    except ValueError as exc:  # JSON, UTF-8 and type errors alike
+        raise ResumeStateCorrupt(f"{rel_path}: {exc}") from exc
+
+
 def write_json(path: Path, obj) -> None:
     """Write obj as sorted, indented JSON through a temp file and a rename."""
     text = json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
@@ -96,6 +107,16 @@ class Journal:
 
     # --- ledger lifecycle ---------------------------------------------
 
+    @classmethod
+    def read_only(cls, workspace: str) -> "Journal":
+        """The workspace's ledger, loaded and its format checked, for
+        reading: nothing is created and no fingerprint is matched. A
+        workspace with no ledger has no rounds."""
+        jrnl = cls(workspace)
+        if jrnl.ledger_path.exists():
+            jrnl._load()
+        return jrnl
+
     def open(self, fingerprint: Dict[str, str]) -> bool:
         """Load or create the ledger. Returns True when resuming.
 
@@ -106,18 +127,7 @@ class Journal:
         """
         self.workspace.mkdir(parents=True, exist_ok=True)
         if self.ledger_path.exists():
-            try:
-                with open(self.ledger_path, encoding="utf-8") as fh:
-                    self._ledger = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ResumeStateCorrupt(f"unreadable ledger: {exc}") from exc
-            if not isinstance(self._ledger, dict) or "fingerprint" not in self._ledger:
-                raise ResumeStateCorrupt("ledger missing fingerprint")
-            if self._ledger.get("format") != LEDGER_FORMAT:
-                raise ResumeStateCorrupt(
-                    f"ledger format {self._ledger.get('format', 1)!r} is not "
-                    f"{LEDGER_FORMAT}; start a new workspace"
-                )
+            self._load()
             if self._ledger["fingerprint"] != fingerprint:
                 raise ResumeStateCorrupt(
                     "workspace was journaled under a different config or input set"
@@ -132,6 +142,20 @@ class Journal:
         self._flush()
         return False
 
+    def _load(self) -> None:
+        try:
+            with open(self.ledger_path, encoding="utf-8") as fh:
+                self._ledger = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ResumeStateCorrupt(f"unreadable ledger: {exc}") from exc
+        if not isinstance(self._ledger, dict) or "fingerprint" not in self._ledger:
+            raise ResumeStateCorrupt("ledger missing fingerprint")
+        if self._ledger.get("format") != LEDGER_FORMAT:
+            raise ResumeStateCorrupt(
+                f"ledger format {self._ledger.get('format', 1)!r} is not "
+                f"{LEDGER_FORMAT}; start a new workspace"
+            )
+
     def _flush(self) -> None:
         write_json(self.ledger_path, self._ledger)
 
@@ -141,7 +165,10 @@ class Journal:
         return "baseline" in self._ledger
 
     def baseline(self) -> float:
-        return float(self._ledger["baseline"])
+        try:
+            return json_number(self._ledger.get("baseline"))
+        except TypeError as exc:
+            raise ResumeStateCorrupt(f"{LEDGER_NAME}: baseline: {exc}") from exc
 
     def set_baseline(self, eval_score: float) -> None:
         self._ledger["baseline"] = float(eval_score)
@@ -176,6 +203,14 @@ class Journal:
                 raise ResumeStateCorrupt(f"journaled file modified: {rel_path}")
             contents[rel_path] = data
         return contents
+
+    def completed_rounds(self) -> Iterator[RoundState]:
+        """Each round from 1 on whose evaluation is journaled, read and
+        digest-checked through `phase_done`, up to the first that is not."""
+        round_index = 1
+        while (contents := self.phase_done(round_index, EVALUATION)) is not None:
+            yield load_round_state(round_index, contents)
+            round_index += 1
 
     def record_phase(
         self,

@@ -17,7 +17,7 @@ and the convergence check need it.
 
 from __future__ import annotations
 
-import json
+import functools
 import logging
 from typing import Callable, List, Optional, Sequence
 
@@ -242,9 +242,6 @@ def run_loop(
         step(k, journal_mod.UPDATE, lambda contents: None, update)
         version.set(jrnl.model_version())
 
-        def load_state(contents):
-            return RoundState.from_json(json.loads(contents[state_rel].decode("utf-8")))
-
         def evaluate_round():
             rows = scored()
             n_positive = sum(1 for s in rows if s.label is Label.POSITIVE)
@@ -262,14 +259,13 @@ def run_loop(
                 eval_score=eval_score,
                 delta_vs_best=delta,
                 status=_status_for([r.delta_vs_best for r in history] + [delta], k, config),
+                eval_by_direction=by_direction,
+                warnings=() if n_positive else (empty_positives_warning(k),),
             )
-            obj = state.to_json()
-            obj["eval_by_direction"] = by_direction
-            if n_positive == 0:
-                obj["warnings"] = [empty_positives_warning(k)]
-            write_json(state_path, obj)
+            write_json(state_path, state.to_json())
             return state, None
 
+        load_state = functools.partial(journal_mod.load_round_state, k)
         state = step(k, journal_mod.EVALUATION, load_state, evaluate_round)()
         history.append(state)
         log.info(

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass, field, fields
-from typing import Dict, Mapping, Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import AbstractSet, Dict, Optional, Tuple
 
 from ..corpus import Sample
 from ..errors import ResumeStateCorrupt
 
 __all__ = [
+    "json_fields",
+    "json_integer",
+    "json_number",
     "Label",
     "SpeechUsed",
     "SpeechSource",
@@ -56,6 +59,63 @@ def _check_unit(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0,1], got {value}")
     return value
+
+
+# --- JSON type checks -----------------------------------------------------------
+# A value decoded from JSON must have one of its field's exact types: an
+# integer is an int, never a bool; a number is an int or a float, never a
+# bool or a string. A TypeError says what was expected.
+
+def _expect(value, kinds, name: str):
+    if type(value) not in kinds:
+        raise TypeError(f"expected {name}, got {value!r}")
+    return value
+
+
+def json_number(value) -> float:
+    return float(_expect(value, (int, float), "a number"))
+
+
+def json_integer(value) -> int:
+    return _expect(value, (int,), "an integer")
+
+
+# by a field's annotation: the exact types `json.loads` may give for it,
+# their name in errors, and the conversion to the field's value, if any
+_JSON_TYPES = {
+    "int": ((int,), "an integer", None),
+    "float": ((int, float), "a number", float),
+    "str": ((str,), "a string", None),
+    "Dict[str, float]": ((dict,), "an object",
+                         lambda value: {key: json_number(v) for key, v in value.items()}),
+    "Tuple[str, ...]": ((list,), "a list",
+                        lambda value: tuple(_expect(v, (str,), "a string") for v in value)),
+    "RoundStatus": ((str,), "a string", RoundStatus),
+    "SpeechSource": ((str,), "a string", SpeechSource),
+}
+
+
+def json_fields(obj: object, cls, required: AbstractSet[str] = frozenset(),
+                prefix: str = "") -> Dict[str, object]:
+    """The fields of dataclass `cls` that JSON object `obj` holds, each
+    checked against the JSON types its annotation names. A field with no
+    default, or one named in `required`, must be present. A ValueError
+    names the key that is missing or mistyped, after `prefix`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {obj!r}")
+    values = {}
+    for f in fields(cls):
+        if f.name not in obj:
+            if f.name in required or f.default is f.default_factory is MISSING:
+                raise ValueError(f"lacks {prefix + f.name!r}")
+            continue
+        kinds, kind_name, convert = _JSON_TYPES[f.type]
+        try:
+            value = _expect(obj[f.name], kinds, kind_name)
+            values[f.name] = value if convert is None else convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{prefix}{f.name}: {exc}") from None
+    return values
 
 
 @dataclass(frozen=True)
@@ -146,6 +206,10 @@ class RoundState:
     eval_score: float
     delta_vs_best: float
     status: RoundStatus
+    # mean eval score per `src-tgt`
+    eval_by_direction: Dict[str, float] = field(default_factory=dict)
+    # set when the round's update was skipped; state.json omits it when empty
+    warnings: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.round_index < 1:
@@ -157,31 +221,16 @@ class RoundState:
         object.__setattr__(self, "status", RoundStatus(self.status))
 
     def to_json(self) -> Dict[str, object]:
-        return {
-            "round_index": self.round_index,
-            "acquisition_manifest": self.acquisition_manifest,
-            "positives_manifest": self.positives_manifest,
-            "negatives_manifest": self.negatives_manifest,
-            "n_positive": self.n_positive,
-            "n_negative": self.n_negative,
-            "eval_score": self.eval_score,
-            "delta_vs_best": self.delta_vs_best,
-            "status": self.status.value,
-        }
+        obj = {**vars(self), "status": self.status.value, "warnings": list(self.warnings)}
+        if not self.warnings:
+            del obj["warnings"]
+        return obj
 
     @classmethod
-    def from_json(cls, obj: Mapping[str, object]) -> "RoundState":
-        return cls(
-            round_index=int(obj["round_index"]),  # type: ignore[arg-type]
-            acquisition_manifest=str(obj["acquisition_manifest"]),
-            positives_manifest=str(obj["positives_manifest"]),
-            negatives_manifest=str(obj["negatives_manifest"]),
-            n_positive=int(obj["n_positive"]),  # type: ignore[arg-type]
-            n_negative=int(obj["n_negative"]),  # type: ignore[arg-type]
-            eval_score=float(obj["eval_score"]),  # type: ignore[arg-type]
-            delta_vs_best=float(obj["delta_vs_best"]),  # type: ignore[arg-type]
-            status=RoundStatus(str(obj["status"])),
-        )
+    def from_json(cls, obj: object) -> "RoundState":
+        """Parse state.json's object. Every key but `warnings` is required,
+        and every value must have its JSON type; an error names its key."""
+        return cls(**json_fields(obj, cls, required={"eval_by_direction"}))
 
 
 @dataclass(frozen=True)
@@ -215,12 +264,12 @@ class EvolutionConfig:
         }
 
     @classmethod
-    def from_json(cls, obj: Mapping[str, object]) -> "EvolutionConfig":
-        """Missing keys take the field defaults; each value is coerced to its
-        default's type, which fixes `to_json()` and so the journal fingerprint."""
-        return cls(**{
-            f.name: type(f.default)(obj.get(f.name, f.default)) for f in fields(cls)
-        })
+    def from_json(cls, obj: object, prefix: str = "") -> "EvolutionConfig":
+        """Missing keys take the field defaults. A value must have its
+        field's JSON type; an integer is taken for a float field and kept as
+        a float, which fixes `to_json()` and so the journal fingerprint. An
+        error names the key after `prefix`."""
+        return cls(**json_fields(obj, cls, prefix=prefix))
 
 
 @dataclass

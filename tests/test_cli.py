@@ -2,9 +2,11 @@
 
 import argparse
 import csv
+import hashlib
 import inspect
 import json
 import logging
+import shutil
 import string
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from evoloop.evolution import (
     run_refinement,
 )
 from evoloop.evolution import phases
-from evoloop.evolution.journal import fingerprint_inputs
+from evoloop.evolution.journal import Journal, fingerprint_inputs
 from evoloop.mockstack import wire_stack
 
 SCHEDULE = "0.800,0.819,0.839,0.856,0.8565"
@@ -273,6 +275,21 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys, config, key):
     ({"workspace": 5}, "workspace config must be a JSON string"),
     ({"update_hook": ["true"]}, "update_hook config must be a JSON string"),
     ({"token": 1}, "token config must be a JSON string"),
+    # a value keeps its JSON type, and the error names its key
+    ({"evolution": {"patience": 1.9}}, "evolution.patience: expected an integer, got 1.9"),
+    ({"evolution": {"max_rounds": "2"}}, "evolution.max_rounds: expected an integer, got '2'"),
+    ({"evolution": {"seed": True}}, "evolution.seed: expected an integer, got True"),
+    ({"evolution": {"epsilon": "0.1"}}, "evolution.epsilon: expected a number, got '0.1'"),
+    ({"evolution": {"speech_source": 1}}, "evolution.speech_source: expected a string, got 1"),
+    ({"evolution": {"fixed_eval_voice": None}},
+     "evolution.fixed_eval_voice: expected a string, got None"),
+    ({"endpoints": {"tts": {"timeout_s": True}}},
+     "endpoints.tts.timeout_s: expected a number, got True"),
+    ({"endpoints": {"score": {"max_attempts": 2.5}}},
+     "endpoints.score.max_attempts: expected an integer, got 2.5"),
+    ({"endpoints": {"translate": {"backoff_base_ms": "100"}}},
+     "endpoints.translate.backoff_base_ms: expected an integer, got '100'"),
+    ({"endpoints": {"tts": {"base_url": 5}}}, "endpoints.tts.base_url: expected a string, got 5"),
 ])
 def test_bad_endpoints_or_voices_config_is_usage_error(corpus_dir, capsys, config, message):
     conf = corpus_dir / "conf.json"
@@ -317,10 +334,23 @@ def test_evolution_config_defaults_come_from_the_dataclass():
         '"speech_source": "PreferSynthetic", "fixed_eval_voice": "voice-a"}')
     assert fingerprint_inputs(config.to_json(), [], [], [])["config"] == (
         "2f8d35e6c1f2db87b1dd1bbc7d6509284521ab4ef85a45381e5c7544748e919c")
-    # values keep the coercion to each default's type
-    coerced = EvolutionConfig.from_json({"epsilon": 1, "seed": "13"}).to_json()
-    assert (coerced["epsilon"], coerced["seed"]) == (1.0, 13)
+    # an integer is taken for a float field and kept as a float; a string
+    # is not taken for an integer
+    coerced = EvolutionConfig.from_json({"epsilon": 1}).to_json()
+    assert coerced["epsilon"] == 1.0
     assert isinstance(coerced["epsilon"], float)
+    with pytest.raises(ValueError, match="seed: expected an integer, got '13'"):
+        EvolutionConfig.from_json({"seed": "13"})
+
+
+def test_config_integer_is_taken_for_a_float_field(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"evolution": {"epsilon": 1},
+                                "endpoints": {"tts": {"timeout_s": 5}}}))
+    cfg = load_run_config(parse(["validate", "m.jsonl", "--config", conf]))
+    assert (cfg.evolution.epsilon, cfg.endpoints["tts"].timeout_s) == (1.0, 5.0)
+    assert isinstance(cfg.evolution.epsilon, float)
+    assert isinstance(cfg.endpoints["tts"].timeout_s, float)
 
 
 def test_invalid_epsilon_flag_is_usage_error(corpus_dir):
@@ -813,57 +843,125 @@ def test_report_rounds_empty_workspace(tmp_path, capsys):
     assert "no completed rounds" in err
 
 
-GOOD_STATE = {"round_index": 1, "eval_score": 0.5, "delta_vs_best": 0.25,
-              "status": "improved"}
 STATE, LEDGER = "rounds/1/state.json", "journal.json"
 
 
-@pytest.mark.parametrize("ledger, state, code, bad_file, message", [
-    # a ledger that is not an object has no baseline row, like one that does not
-    # parse, is missing, or holds no baseline
-    ([], GOOD_STATE, 0, None, None),
-    ("{", GOOD_STATE, 0, None, None),
-    (None, GOOD_STATE, 0, None, None),
-    ({}, GOOD_STATE, 0, None, None),
-    ({"baseline": None}, GOOD_STATE, 0, None, None),
-    # a state file the table cannot read names itself
-    ({"baseline": 0.25}, [], 1, STATE, "round state is not a JSON object"),
-    ({"baseline": 0.25}, {"round_index": 1}, 1, STATE, "round state lacks 'eval_score'"),
-    ({"baseline": 0.25}, "{", 1, STATE,
+@pytest.fixture(scope="module")
+def journaled_round(tmp_path_factory):
+    """A workspace whose one round is journaled; each test copies it."""
+    root = tmp_path_factory.mktemp("journaled")
+    write_manifest(root / "train.jsonl", make_rows(6))
+    write_manifest(root / "eval.jsonl", make_rows(4, tgt="lao", stem="omega"))
+    assert main([str(a) for a in loop_argv(root, extra=["--max-rounds", "1"])]) == 0
+    return root / "ws"
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+NOT_A_NUMBER = "journal.json: baseline: expected a number, got"
+
+
+@pytest.mark.parametrize("path, edit, message", [
+    # a ledger that is missing, does not parse or is not a journal leaves
+    # nothing to report
+    (LEDGER, lambda ledger: [], "ledger missing fingerprint"),
+    (LEDGER, lambda ledger: "{", "unreadable ledger: Expecting property name enclosed "
+     "in double quotes: line 1 column 2 (char 1)"),
+    (LEDGER, lambda ledger: None, "no completed rounds in {ws}"),
+    # a journal whose baseline is absent or not a number names its ledger
+    (LEDGER, lambda ledger: _without(ledger, "baseline"), f"{NOT_A_NUMBER} None"),
+    (LEDGER, lambda ledger: {**ledger, "baseline": None}, f"{NOT_A_NUMBER} None"),
+    # a journaled state.json the parser refuses names its file and key
+    (STATE, lambda state: [], "expected a JSON object, got []"),
+    (STATE, lambda state: _without(state, "eval_score"), "lacks 'eval_score'"),
+    (STATE, lambda state: "{",
      "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-    ({"baseline": 0.25}, {**GOOD_STATE, "eval_score": "x"}, 1, STATE,
-     "eval_score: expected a number, got 'x'"),
-    ({"baseline": 0.25}, {**GOOD_STATE, "eval_score": True}, 1, STATE,
-     "eval_score: expected a number, got True"),
-    ({"baseline": 0.25}, {**GOOD_STATE, "status": 3}, 1, STATE,
-     "status: expected a string, got 3"),
-    ({"baseline": 0.25}, {**GOOD_STATE, "eval_by_direction": 5}, 1, STATE,
+    (STATE, lambda state: {**state, "eval_score": "x"}, "eval_score: expected a number, got 'x'"),
+    (STATE, lambda state: {**state, "eval_score": True}, "eval_score: expected a number, got True"),
+    (STATE, lambda state: {**state, "status": 3}, "status: expected a string, got 3"),
+    (STATE, lambda state: {**state, "eval_by_direction": 5},
      "eval_by_direction: expected an object, got 5"),
-    ({"baseline": 0.25}, {**GOOD_STATE, "eval_by_direction": {"eng-lao": "x"}}, 1, STATE,
+    (STATE, lambda state: {**state, "eval_by_direction": {"eng-lao": "x"}},
      "eval_by_direction: expected a number, got 'x'"),
-    # so does a ledger whose baseline is not a number
-    ({"baseline": "x"}, GOOD_STATE, 1, LEDGER, "baseline: expected a number, got 'x'"),
-    ({"baseline": True}, GOOD_STATE, 1, LEDGER, "baseline: expected a number, got True"),
+    (LEDGER, lambda ledger: {**ledger, "baseline": "x"}, f"{NOT_A_NUMBER} 'x'"),
+    (LEDGER, lambda ledger: {**ledger, "baseline": True}, f"{NOT_A_NUMBER} True"),
 ], ids=["ledger-list", "ledger-unparsable", "ledger-missing", "ledger-baseline-absent",
         "ledger-baseline-null", "state-list", "state-missing-key",
         "state-unparsable", "state-score-string", "state-score-bool", "state-status-number",
         "state-directions-number", "state-direction-string", "ledger-baseline-string",
         "ledger-baseline-bool"])
-def test_report_rounds_malformed_workspace_files(tmp_path, capsys, ledger, state, code,
-                                                 bad_file, message):
+def test_report_rounds_malformed_workspace_files(journaled_round, tmp_path, capsys, path,
+                                                 edit, message):
     ws = tmp_path / "ws"
-    state_path = ws / STATE
-    state_path.parent.mkdir(parents=True)
-    state_path.write_text(state if isinstance(state, str) else json.dumps(state))
-    if ledger is not None:
-        (ws / LEDGER).write_text(ledger if isinstance(ledger, str) else json.dumps(ledger))
-    assert main(["report", "rounds", "--workspace", str(ws)]) == code
-    out, err = capsys.readouterr()
-    if message is None:
-        assert out.splitlines()[1].split() == ["1", "50.0", "+25.0", "improved"]
-        assert err == ""
+    shutil.copytree(journaled_round, ws)
+    content = edit(json.loads((ws / path).read_text()))
+    if content is None:
+        (ws / path).unlink()
     else:
-        assert err == f"error: {ws / bad_file}: {message}\n"
+        data = (content if isinstance(content, str) else json.dumps(content)).encode()
+        (ws / path).write_bytes(data)
+    if path == STATE:
+        # journal the edit, so that the parser, not the digest check, meets it
+        ledger = json.loads((ws / LEDGER).read_text())
+        ledger["rounds"]["1"]["evaluation"]["files"][STATE] = hashlib.sha256(data).hexdigest()
+        (ws / LEDGER).write_text(json.dumps(ledger))
+        message = f"{STATE}: {message}"
+    assert main(["report", "rounds", "--workspace", str(ws)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message.format(ws=ws)}\n")
+
+
+def test_report_rounds_refuses_a_tampered_round_as_the_resume_does(corpus_dir, capsys):
+    assert run_cli(loop_argv(corpus_dir), capsys)[0] == 0
+    ws = corpus_dir / "ws"
+    state = json.loads((ws / "rounds" / "2" / "state.json").read_text())
+    for k in (2, 9):
+        (ws / "rounds" / str(k)).mkdir(exist_ok=True)
+        (ws / "rounds" / str(k) / "state.json").write_text(
+            json.dumps({**state, "eval_score": 0.99}))
+    for argv in (["report", "rounds", "--workspace", ws], loop_argv(corpus_dir)):
+        code = main([str(a) for a in argv])
+        assert (code, *capsys.readouterr()) == (
+            1, "", "error: journaled file modified: rounds/2/state.json\n")
+
+
+def test_report_rounds_leaves_out_a_stray_state_file(corpus_dir, capsys):
+    assert run_cli(loop_argv(corpus_dir), capsys)[0] == 0
+    ws = corpus_dir / "ws"
+    argv = ["report", "rounds", "--workspace", ws]
+    before = run_cli(argv, capsys)
+    state = json.loads((ws / "rounds" / "4" / "state.json").read_text())
+    (ws / "rounds" / "9").mkdir()
+    (ws / "rounds" / "9" / "state.json").write_text(json.dumps({**state, "round_index": 9}))
+    assert run_cli(argv, capsys) == before
+    assert [line.split()[0] for line in before[1].splitlines()] == [
+        "round", "base", "1", "2", "3", "4"]
+
+
+class Killed(BaseException):
+    """Stands in for a kill: main's error channel does not catch it."""
+
+
+def test_report_rounds_leaves_out_a_round_whose_evaluation_is_unrecorded(
+        corpus_dir, capsys, monkeypatch):
+    record_phase = Journal.record_phase
+
+    def killed_before_round_2_evaluation(self, round_index, phase, trained=None):
+        if (round_index, phase) == (2, "evaluation"):
+            raise Killed
+        record_phase(self, round_index, phase, trained=trained)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Journal, "record_phase", killed_before_round_2_evaluation)
+        with pytest.raises(Killed):
+            main([str(a) for a in loop_argv(corpus_dir)])
+    ws = corpus_dir / "ws"
+    assert (ws / "rounds" / "2" / "state.json").is_file()
+    code, out = run_cli(["report", "rounds", "--workspace", ws], capsys)
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == ["round", "base", "1"]
 
 
 def test_report_rounds_multi_direction_columns(tmp_path, capsys):

@@ -62,12 +62,23 @@ def test_cli_import_defers_rare_path_modules():
     assert [name for name in DEFERRED if name in added] == []
 
 
+def _write_manifests(tmp_path: Path) -> None:
+    rows = [{"src_lang": "eng", "tgt_lang": "khm", "text": f"a b {i}", "reference": f"a b {i}"}
+            for i in range(4)]
+    for name in ("train.jsonl", "eval.jsonl"):
+        (tmp_path / name).write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
 def _rounds_workspace(tmp_path: Path) -> str:
-    state = tmp_path / "ws" / "rounds" / "1" / "state.json"
-    state.parent.mkdir(parents=True)
-    state.write_text(json.dumps({"round_index": 1, "eval_score": 0.5,
-                                 "delta_vs_best": 0.5, "status": "Improved"}))
-    return str(tmp_path / "ws")
+    """A workspace whose one round is journaled, by a mock loop run here."""
+    from evoloop.cli import main
+
+    _write_manifests(tmp_path)
+    ws = str(tmp_path / "ws")
+    assert main(["loop", "--train", str(tmp_path / "train.jsonl"), "--eval",
+                 str(tmp_path / "eval.jsonl"), "--mock", "--max-rounds", "1",
+                 "--workspace", ws]) == 0
+    return ws
 
 
 # the one path that loads each deferred module, as probe code for a tmp_path
@@ -78,8 +89,8 @@ LOADING_PATHS = {
                               "from evoloop.evolution.loop import run_update_hook\n"
                               "run_update_hook('\"' + sys.executable + '\" -c pass {jobspec}',"
                               " 'jobspec.json')",
-    "csv": lambda tmp: "evoloop.cli.main(['report', 'rounds', '--workspace',"
-                       f" {_rounds_workspace(tmp)!r}, '--csv', {str(tmp / 'r.csv')!r}])",
+    "csv": lambda tmp: "assert evoloop.cli.main(['report', 'rounds', '--workspace',"
+                       f" {_rounds_workspace(tmp)!r}, '--csv', {str(tmp / 'r.csv')!r}]) == 0",
     "concurrent.futures": lambda tmp: "from evoloop.backends import run_batch\n"
                                       "run_batch([lambda: 1], max_in_flight=2)",
 }
@@ -92,10 +103,7 @@ def test_deferred_module_loads_on_its_own_path(tmp_path, module):
 
 
 def test_cache_and_mock_loop_load_no_sqlite3(tmp_path):
-    rows = [{"src_lang": "eng", "tgt_lang": "khm", "text": f"a b {i}", "reference": f"a b {i}"}
-            for i in range(4)]
-    for name in ("train.jsonl", "eval.jsonl"):
-        (tmp_path / name).write_text("".join(json.dumps(row) + "\n" for row in rows))
+    _write_manifests(tmp_path)
     added = modules_added("from evoloop.backends import ContentCache, entry_key\n"
                           f"cache = ContentCache({str(tmp_path / 'cache')!r})\n"
                           "cache.get(entry_key('score', 'v0', {}))\n"
@@ -126,8 +134,8 @@ def test_mock_synth_imports_no_wave(tmp_path):
 
 
 def test_report_rounds_without_csv_skips_csv(tmp_path):
-    added = modules_added("evoloop.cli.main(['report', 'rounds', '--workspace',"
-                          f" {_rounds_workspace(tmp_path)!r}])")
+    added = modules_added("assert evoloop.cli.main(['report', 'rounds', '--workspace',"
+                          f" {_rounds_workspace(tmp_path)!r}]) == 0")
     assert "csv" not in added
 
 

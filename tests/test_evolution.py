@@ -10,6 +10,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evoloop.backends.cache import ContentCache
 from evoloop.backends.clients import ScoreClient, TranslateClient, TtsClient
@@ -611,6 +613,71 @@ def states_from_deltas(deltas):
             )
         )
     return history
+
+
+# --- state.json --------------------------------------------------------------
+
+round_states = st.builds(
+    RoundState,
+    round_index=st.integers(min_value=1, max_value=10**6),
+    acquisition_manifest=st.text(),
+    positives_manifest=st.text(),
+    negatives_manifest=st.text(),
+    n_positive=st.integers(min_value=0, max_value=10**6),
+    n_negative=st.integers(min_value=0, max_value=10**6),
+    eval_score=st.floats(min_value=0.0, max_value=1.0),
+    delta_vs_best=st.floats(allow_nan=False, allow_infinity=False),
+    status=st.sampled_from(RoundStatus),
+    eval_by_direction=st.dictionaries(st.text(), st.floats(min_value=0.0, max_value=1.0)),
+    warnings=st.lists(st.text()).map(tuple),
+)
+
+STATE_JSON = states_from_deltas([0.25])[0].to_json() | {
+    "eval_by_direction": {"eng-lao": 0.5}, "warnings": ["skipped"]}
+
+
+class TestRoundStateJson:
+    @settings(max_examples=200, deadline=None)
+    @given(round_states)
+    def test_round_trip(self, state):
+        assert RoundState.from_json(json.loads(json.dumps(state.to_json()))) == state
+
+    def test_warnings_are_written_only_when_there_are_some(self):
+        state = RoundState.from_json({k: v for k, v in STATE_JSON.items() if k != "warnings"})
+        assert state.warnings == ()
+        assert "warnings" not in state.to_json()
+        assert RoundState.from_json(STATE_JSON).to_json() == STATE_JSON
+
+    @pytest.mark.parametrize("key", [k for k in STATE_JSON if k != "warnings"])
+    def test_missing_key_is_refused_by_name(self, key):
+        with pytest.raises(ValueError) as err:
+            RoundState.from_json({k: v for k, v in STATE_JSON.items() if k != key})
+        assert str(err.value) == f"lacks {key!r}"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("round_index", True, "expected an integer, got True"),
+        ("round_index", 1.0, "expected an integer, got 1.0"),
+        ("acquisition_manifest", 1, "expected a string, got 1"),
+        ("positives_manifest", None, "expected a string, got None"),
+        ("negatives_manifest", [], "expected a string, got []"),
+        ("n_positive", "3", "expected an integer, got '3'"),
+        ("n_negative", False, "expected an integer, got False"),
+        ("eval_score", "0.5", "expected a number, got '0.5'"),
+        ("delta_vs_best", True, "expected a number, got True"),
+        ("status", "improved", "'improved' is not a valid RoundStatus"),
+        ("eval_by_direction", [], "expected an object, got []"),
+        ("eval_by_direction", {"eng-lao": None}, "expected a number, got None"),
+        ("warnings", "skipped", "expected a list, got 'skipped'"),
+        ("warnings", [1], "expected a string, got 1"),
+    ])
+    def test_mistyped_key_is_refused_by_name(self, key, value, message):
+        with pytest.raises(ValueError) as err:
+            RoundState.from_json({**STATE_JSON, key: value})
+        assert str(err.value) == f"{key}: {message}"
+
+    def test_state_that_is_not_an_object_is_refused(self):
+        with pytest.raises(ValueError, match=r"expected a JSON object, got \[\]"):
+            RoundState.from_json([])
 
 
 class TestConvergence:
