@@ -1,4 +1,4 @@
-"""Atomic file writes: the one temp-file-plus-rename protocol.
+"""Atomic file writes, the one temp-file-plus-rename protocol, and their JSON encodings.
 
 A file is written whole to a temp file in its own directory and renamed
 over the target, so a reader or a resumed run sees either the previous
@@ -17,15 +17,15 @@ import tempfile
 from pathlib import Path
 from typing import Iterable
 
-__all__ = ["write_atomic", "write_jsonl"]
+__all__ = ["write_atomic", "write_json", "write_jsonl"]
 
 # read once: os.umask can only be read by setting it
 _UMASK = os.umask(0)
 os.umask(_UMASK)
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Replace path's content with data; creates parent directories."""
+def write_atomic(path: str | Path, data: bytes) -> bytes:
+    """Replace path's content with data and return it; creates parent directories."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -40,13 +40,20 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+    return data
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    """Write rows as UTF-8 JSONL with sorted keys, one object per line.
+def write_json(path: str | Path, obj) -> bytes:
+    """Write obj as sorted, indented UTF-8 JSON; return the bytes."""
+    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    return write_atomic(path, text.encode("utf-8"))
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> bytes:
+    """Write rows as sorted-key UTF-8 JSONL, one object per line; return the bytes.
 
     Every row is encoded before anything is written, so a row that cannot
     be encoded leaves the previous file as it was.
     """
     text = "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows)
-    write_atomic(path, text.encode("utf-8"))
+    return write_atomic(path, text.encode("utf-8"))

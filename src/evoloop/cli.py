@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .atomic import write_atomic, write_jsonl
+from .atomic import write_atomic, write_json, write_jsonl
 from .backends.clients import EndpointConfig
 from .backends.mock import LookupTranslator
 from .corpus import (
@@ -55,7 +55,6 @@ from .evolution import (
     run_acquisition,
     run_refinement,
 )
-from .evolution.journal import write_json
 from .evolution.loop import run_loop
 from .evolution.types import json_fields, json_integer, json_number
 from .metrics.aggregate import (
@@ -513,9 +512,9 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
         "command": "classify",
         "n_positive": result.n_positive,
         "n_negative": result.n_negative,
-        "positives": os.path.relpath(result.positives_path, ws),
-        "negatives": os.path.relpath(result.negatives_path, ws),
-        "jobspec": os.path.relpath(result.jobspec_path, ws),
+        "positives": os.path.relpath(out_dir / "positives.jsonl", ws),
+        "negatives": os.path.relpath(out_dir / "negatives.jsonl", ws),
+        "jobspec": os.path.relpath(out_dir / "jobspec.json", ws),
         "warning": result.warning,
     }
     return 0, payload

@@ -299,8 +299,8 @@ def load_manifest(
         return _parse_lines(fh, strict)
 
 
-def save_manifest(samples: Iterable[Sample], path: str | Path) -> None:
-    write_jsonl(path, (sample.to_json() for sample in samples))
+def save_manifest(samples: Iterable[Sample], path: str | Path) -> bytes:
+    return write_jsonl(path, (sample.to_json() for sample in samples))
 
 
 def split_directions(samples: Iterable[Sample]) -> dict[tuple[str, str], list[Sample]]:

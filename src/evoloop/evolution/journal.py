@@ -2,12 +2,15 @@
 
 Every phase output lands in `rounds/<k>/` and is fingerprinted in a
 single ledger file (`journal.json`) at the workspace root. Acquisition
-runs once per run, so only `rounds/1/` holds its manifest. A resumed run
-trusts a phase only when the ledger entry exists and the file bytes
-still hash to the recorded digest; anything else inside a recorded entry
-is treated as corruption rather than silently recomputed. A resume reads
-each journaled file once: `Journal.phase_done` hands back the bytes it
-hashed, and every parse of the phase uses those bytes.
+runs once per run, so only `rounds/1/` holds its manifest. A fresh step
+hands `Journal.record_phase` the bytes it wrote, and the ledger, rewritten
+after the phase's files, records their digest; no file is read back, so
+a file another process replaced in between fails the next resume. A
+resumed run trusts a phase only when the ledger entry exists and the file
+bytes still hash to the recorded digest; anything else inside a recorded
+entry is treated as corruption rather than silently recomputed. A resume
+reads each journaled file once: `Journal.phase_done` hands back the bytes
+it hashed, and every parse of the phase uses those bytes.
 
 All writes, the ledger's and every phase file's, go through
 `atomic.write_atomic` (temp file plus rename), so a kill can never leave
@@ -21,14 +24,14 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, Optional
 
-from ..atomic import write_atomic
+from ..atomic import write_json
 from ..backends.cache import canonical_payload
 from ..errors import ResumeStateCorrupt
-from .types import RoundState, json_number
+from .types import RoundState, json_integer, json_number
 
-__all__ = ["Journal", "PHASE_FILES", "load_round_state", "round_file", "write_json"]
+__all__ = ["Journal", "PHASE_FILES", "load_round_state", "round_file"]
 
 LEDGER_NAME = "journal.json"
 # 2: acquisition journaled once, under round 1
@@ -52,10 +55,6 @@ PHASE_FILES: Dict[str, tuple] = {
 def round_file(round_index: int, name: str) -> str:
     """Workspace-relative path of a round's file, as the ledger records it."""
     return f"{ROUNDS_DIR}/{round_index}/{name}"
-
-
-def _phase_files(round_index: int, phase: str) -> List[str]:
-    return [round_file(round_index, name) for name in PHASE_FILES[phase]]
 
 
 def _read_file(path: str) -> Optional[bytes]:
@@ -90,10 +89,11 @@ def load_round_state(round_index: int, contents: Dict[str, bytes]) -> RoundState
         raise ResumeStateCorrupt(f"{rel_path}: {exc}") from exc
 
 
-def write_json(path: Path, obj) -> None:
-    """Write obj as sorted, indented JSON through a temp file and a rename."""
-    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-    write_atomic(path, text.encode("utf-8"))
+def _expect_object(value, *key: str, of_strings: bool = False) -> dict:
+    if type(value) is not dict or of_strings and not all(type(v) is str for v in value.values()):
+        kind = "an object of strings" if of_strings else "an object"
+        raise ResumeStateCorrupt(f"{LEDGER_NAME}: {'.'.join(key)}: expected {kind}, got {value!r}")
+    return value
 
 
 class Journal:
@@ -155,6 +155,12 @@ class Journal:
                 f"ledger format {self._ledger.get('format', 1)!r} is not "
                 f"{LEDGER_FORMAT}; start a new workspace"
             )
+        # the ledger's shape, so that reading it later raises nothing else
+        self.model_version()
+        for k, phases in _expect_object(self._ledger.get("rounds", {}), "rounds").items():
+            for phase, entry in _expect_object(phases, "rounds", k).items():
+                files = _expect_object(entry, "rounds", k, phase).get("files", {})
+                _expect_object(files, "rounds", k, phase, "files", of_strings=True)
 
     def _flush(self) -> None:
         write_json(self.ledger_path, self._ledger)
@@ -164,18 +170,21 @@ class Journal:
     def has_baseline(self) -> bool:
         return "baseline" in self._ledger
 
-    def baseline(self) -> float:
+    def _field(self, key: str, check, default=None):
         try:
-            return json_number(self._ledger.get("baseline"))
+            return check(self._ledger.get(key, default))
         except TypeError as exc:
-            raise ResumeStateCorrupt(f"{LEDGER_NAME}: baseline: {exc}") from exc
+            raise ResumeStateCorrupt(f"{LEDGER_NAME}: {key}: {exc}") from exc
+
+    def baseline(self) -> float:
+        return self._field("baseline", json_number)
 
     def set_baseline(self, eval_score: float) -> None:
         self._ledger["baseline"] = float(eval_score)
         self._flush()
 
     def model_version(self) -> int:
-        return int(self._ledger.get("model_version", 0))
+        return self._field("model_version", json_integer, 0)
 
     # --- phases -----------------------------------------------------------
 
@@ -190,7 +199,7 @@ class Journal:
         if entry is None:
             return None
         files = entry.get("files", {})
-        if files.keys() != set(_phase_files(round_index, phase)):
+        if files.keys() != {round_file(round_index, name) for name in PHASE_FILES[phase]}:
             raise ResumeStateCorrupt(
                 f"round {round_index} {phase}: ledger file set does not match layout"
             )
@@ -216,23 +225,25 @@ class Journal:
         self,
         round_index: int,
         phase: str,
+        written: Dict[str, bytes],
         trained: Optional[bool] = None,
     ) -> None:
-        """Fingerprint the phase's on-disk outputs and commit the ledger.
+        """Record the digests of the bytes the phase wrote, given as
+        {file name: bytes}, and commit the ledger.
 
         For the update phase, trained=True also advances the model
         version; the bump and the phase record land in one atomic write,
         so a kill cannot record one without the other.
         """
-        if phase not in PHASE_FILES:
+        names = PHASE_FILES.get(phase)
+        if names is None:
             raise ValueError(f"unknown phase: {phase}")
-        files = {}
-        for rel_path in _phase_files(round_index, phase):
-            data = _read_file(self.root + rel_path)
-            if data is None:
-                raise FileNotFoundError(f"phase output not written: {self.workspace / rel_path}")
-            files[rel_path] = hashlib.sha256(data).hexdigest()
-        entry: dict = {"files": files}
+        if written.keys() != set(names):
+            raise ValueError(f"{phase} writes {list(names)}, not {sorted(written)}")
+        entry: dict = {"files": {
+            round_file(round_index, name): hashlib.sha256(data).hexdigest()
+            for name, data in written.items()
+        }}
         if trained is not None:
             entry["trained"] = bool(trained)
             if trained:

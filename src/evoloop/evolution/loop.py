@@ -4,7 +4,9 @@ The loop is resumable at phase granularity. A phase whose output is
 journaled (file present, digest matching the ledger) is loaded instead
 of re-executed, so a killed run finishes without re-invoking backends
 for completed work; an interrupted phase re-runs through the content
-cache and converges to the same bytes.
+cache and converges to the same bytes. The ledger, rewritten after a
+fresh step's files, records the digest of the bytes the step wrote, so a
+file another process replaced in between fails the next resume.
 
 A resume reads each journaled file once, at its step, and checks its
 digest; every parse uses those checked bytes, so a file changed after
@@ -21,11 +23,11 @@ import functools
 import logging
 from typing import Callable, List, Optional, Sequence
 
-from ..atomic import write_jsonl
+from ..atomic import write_json, write_jsonl
 from ..corpus import Sample, load_manifest, save_manifest
 from ..errors import EmptyInput, UpdateHookFailed
 from . import journal as journal_mod
-from .journal import Journal, fingerprint_inputs, write_json
+from .journal import Journal, fingerprint_inputs
 from .phases import (
     empty_positives_warning,
     partition_and_emit,
@@ -169,14 +171,15 @@ def run_loop(
         phase is parsed by `load`, from the {path: bytes} whose digests the
         journal checked, on the first call, so a value no fresh step asks
         for is never parsed. `run` writes the phase's files and returns
-        (value, trained); `trained` is None except for the update phase.
+        (value, {file name: bytes written}, trained); `trained` is None
+        except for the update phase.
         """
         contents = jrnl.phase_done(round_index, phase)
         if contents is not None:
             get, source = _once(load, contents), "journal"
         else:
-            value, trained = run()
-            jrnl.record_phase(round_index, phase, trained=trained)
+            value, written, trained = run()
+            jrnl.record_phase(round_index, phase, written, trained=trained)
             get, source = (lambda: value), "fresh"
         _report(on_phase, round_index, phase, source)
         return get
@@ -203,8 +206,8 @@ def run_loop(
         acquired = run_acquisition(
             train_samples, voice_pool, config, backends.tts, max_in_flight=max_in_flight
         )
-        save_manifest(acquired, acq_path)
-        return acquired, None
+        data = save_manifest(acquired, acq_path)
+        return acquired, {"acquisition.jsonl": data}, None
 
     def load_acquired(contents):
         return load_manifest(acq_path, strict=True, data=contents[acq_rel])
@@ -223,8 +226,8 @@ def run_loop(
                 acquired(), config, backends.translate, backends.score,
                 max_in_flight=max_in_flight,
             )
-            write_jsonl(scored_path, (s.to_row() for s in scored))
-            return scored, None
+            data = write_jsonl(scored_path, (s.to_row() for s in scored))
+            return scored, {"scored.jsonl": data}, None
 
         def load_scored(contents):
             rows = load_manifest(scored_path, strict=True, data=contents[scored_rel])
@@ -236,8 +239,8 @@ def run_loop(
             part = partition_and_emit(scored(), k, rdir, workspace=workspace)
             trained = part.jobspec is not None
             if trained and update_hook is not None:
-                run_update_hook(update_hook, part.jobspec_path)
-            return None, trained
+                run_update_hook(update_hook, f"{rdir}/jobspec.json")
+            return None, part.written, trained
 
         step(k, journal_mod.UPDATE, lambda contents: None, update)
         version.set(jrnl.model_version())
@@ -262,8 +265,8 @@ def run_loop(
                 eval_by_direction=by_direction,
                 warnings=() if n_positive else (empty_positives_warning(k),),
             )
-            write_json(state_path, state.to_json())
-            return state, None
+            data = write_json(state_path, state.to_json())
+            return state, {"state.json": data}, None
 
         load_state = functools.partial(journal_mod.load_round_state, k)
         state = step(k, journal_mod.EVALUATION, load_state, evaluate_round)()

@@ -13,14 +13,13 @@ import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import curriculum
-from ..atomic import write_jsonl
+from ..atomic import write_json, write_jsonl
 from ..backends.batch import run_batch
 from ..corpus import AudioRef, Sample
 from ..errors import DurationOverrun, EmptyEvalSet, EmptyInput, FailureBudgetExceeded, MissingAudio
-from .journal import write_json
 from .types import (
     EvolutionConfig,
     Label,
@@ -200,9 +199,7 @@ def run_refinement(
 
 @dataclass(frozen=True)
 class PartitionResult:
-    positives_path: str
-    negatives_path: str
-    jobspec_path: str
+    written: Dict[str, bytes]  # {file name: bytes} of the three files
     jobspec: Optional[curriculum.JobSpec]
     n_positive: int
     n_negative: int
@@ -232,26 +229,23 @@ def partition_and_emit(
     positives = [s for s in scored if s.label is Label.POSITIVE]
     negatives = [s for s in scored if s.label is Label.NEGATIVE]
 
-    pos_path = out / "positives.jsonl"
-    neg_path = out / "negatives.jsonl"
-    write_jsonl(pos_path, (s.to_row() for s in positives))
-    write_jsonl(neg_path, (s.to_row() for s in negatives))
+    written = {}
+    for name, rows in (("positives.jsonl", positives), ("negatives.jsonl", negatives)):
+        written[name] = write_jsonl(out / name, (s.to_row() for s in rows))
 
     if positives:
-        dataset_ref = os.path.relpath(pos_path, workspace).replace(os.sep, "/")
+        dataset_ref = os.path.relpath(out / "positives.jsonl", workspace).replace(os.sep, "/")
         jobspec = curriculum.continual_spec(dataset_ref, root=workspace)
         warning = None
     else:
         jobspec = None
         warning = empty_positives_warning(round_index)
         log.warning("%s", warning)
-    jobspec_path = out / "jobspec.json"
-    write_json(jobspec_path, jobspec.to_json() if jobspec is not None else None)
+    spec = jobspec.to_json() if jobspec is not None else None
+    written["jobspec.json"] = write_json(out / "jobspec.json", spec)
 
     return PartitionResult(
-        positives_path=str(pos_path),
-        negatives_path=str(neg_path),
-        jobspec_path=str(jobspec_path),
+        written=written,
         jobspec=jobspec,
         n_positive=len(positives),
         n_negative=len(negatives),

@@ -182,12 +182,12 @@ class ScoredSample:
             return cls(
                 sample_id=sample.id,
                 speech_used=SpeechUsed(ann["speech_used"]),
-                s1=float(ann["s1"]),
-                s2=float(ann["s2"]),
+                s1=json_number(ann["s1"]),
+                s2=json_number(ann["s2"]),
                 label=Label(ann["label"]),
                 sample=sample,
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ResumeStateCorrupt(
                 f"scored manifest row for {sample.id} is inconsistent: {exc}"
             ) from exc

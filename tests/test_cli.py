@@ -32,7 +32,7 @@ from evoloop.evolution import (
     run_loop,
     run_refinement,
 )
-from evoloop.evolution import phases
+from evoloop.evolution import journal, phases
 from evoloop.evolution.journal import Journal, fingerprint_inputs
 from evoloop.mockstack import wire_stack
 
@@ -860,6 +860,11 @@ def _without(obj, key):
     return {k: v for k, v in obj.items() if k != key}
 
 
+def _with_evaluation(ledger, entry):
+    """The ledger with round 1's evaluation entry replaced by `entry`."""
+    return {**ledger, "rounds": {"1": {**ledger["rounds"]["1"], "evaluation": entry}}}
+
+
 NOT_A_NUMBER = "journal.json: baseline: expected a number, got"
 
 
@@ -887,11 +892,30 @@ NOT_A_NUMBER = "journal.json: baseline: expected a number, got"
      "eval_by_direction: expected a number, got 'x'"),
     (LEDGER, lambda ledger: {**ledger, "baseline": "x"}, f"{NOT_A_NUMBER} 'x'"),
     (LEDGER, lambda ledger: {**ledger, "baseline": True}, f"{NOT_A_NUMBER} True"),
+    # a ledger whose rounds, phase entries or file maps are not objects, or
+    # whose model version is not an integer, names the key
+    (LEDGER, lambda ledger: {**ledger, "rounds": []},
+     "journal.json: rounds: expected an object, got []"),
+    (LEDGER, lambda ledger: {**ledger, "rounds": {"1": []}},
+     "journal.json: rounds.1: expected an object, got []"),
+    (LEDGER, lambda ledger: _with_evaluation(ledger, []),
+     "journal.json: rounds.1.evaluation: expected an object, got []"),
+    (LEDGER, lambda ledger: _with_evaluation(ledger, {"files": []}),
+     "journal.json: rounds.1.evaluation.files: expected an object of strings, got []"),
+    (LEDGER, lambda ledger: _with_evaluation(ledger, {"files": {STATE: 5}}),
+     "journal.json: rounds.1.evaluation.files: expected an object of strings, "
+     "got {{'rounds/1/state.json': 5}}"),
+    (LEDGER, lambda ledger: {**ledger, "model_version": True},
+     "journal.json: model_version: expected an integer, got True"),
+    (LEDGER, lambda ledger: {**ledger, "model_version": "1"},
+     "journal.json: model_version: expected an integer, got '1'"),
 ], ids=["ledger-list", "ledger-unparsable", "ledger-missing", "ledger-baseline-absent",
         "ledger-baseline-null", "state-list", "state-missing-key",
         "state-unparsable", "state-score-string", "state-score-bool", "state-status-number",
         "state-directions-number", "state-direction-string", "ledger-baseline-string",
-        "ledger-baseline-bool"])
+        "ledger-baseline-bool", "ledger-rounds-list", "ledger-round-list", "ledger-phase-list",
+        "ledger-files-list", "ledger-digest-number", "ledger-model-version-bool",
+        "ledger-model-version-string"])
 def test_report_rounds_malformed_workspace_files(journaled_round, tmp_path, capsys, path,
                                                  edit, message):
     ws = tmp_path / "ws"
@@ -940,6 +964,27 @@ def test_report_rounds_leaves_out_a_stray_state_file(corpus_dir, capsys):
         "round", "base", "1", "2", "3", "4"]
 
 
+def test_fresh_loop_reads_no_journaled_file_back(corpus_dir, capsys, monkeypatch):
+    # each fresh step hands record_phase the bytes it wrote; only a
+    # resume's phase_done reads journaled files, each once
+    read_file = journal._read_file
+    reads = []
+
+    def counting(path):
+        reads.append(Path(path).relative_to(corpus_dir / "ws").as_posix())
+        return read_file(path)
+
+    monkeypatch.setattr(journal, "_read_file", counting)
+    assert run_cli(loop_argv(corpus_dir), capsys)[0] == 0
+    assert reads == []
+    ledger = json.loads((corpus_dir / "ws" / "journal.json").read_text())
+    recorded = [f for phases in ledger["rounds"].values()
+                for entry in phases.values() for f in entry["files"]]
+    assert len(recorded) == 1 + 4 * 5
+    assert run_cli(loop_argv(corpus_dir), capsys)[0] == 0
+    assert sorted(reads) == sorted(recorded)
+
+
 class Killed(BaseException):
     """Stands in for a kill: main's error channel does not catch it."""
 
@@ -948,10 +993,10 @@ def test_report_rounds_leaves_out_a_round_whose_evaluation_is_unrecorded(
         corpus_dir, capsys, monkeypatch):
     record_phase = Journal.record_phase
 
-    def killed_before_round_2_evaluation(self, round_index, phase, trained=None):
+    def killed_before_round_2_evaluation(self, round_index, phase, written, trained=None):
         if (round_index, phase) == (2, "evaluation"):
             raise Killed
-        record_phase(self, round_index, phase, trained=trained)
+        record_phase(self, round_index, phase, written, trained=trained)
 
     with monkeypatch.context() as patch:
         patch.setattr(Journal, "record_phase", killed_before_round_2_evaluation)

@@ -1,6 +1,7 @@
 """Self-evolution loop: labeling, phases, convergence, resume."""
 
 import builtins
+import dataclasses
 import hashlib
 import json
 import os
@@ -121,6 +122,20 @@ class TestLabelRule:
             ScoredSample("x", SpeechUsed.SYNTHETIC, s1=-0.1, s2=0.5, label=Label.POSITIVE)
         with pytest.raises(ValueError):
             ScoredSample("x", SpeechUsed.SYNTHETIC, s1=0.5, s2=1.2, label=Label.POSITIVE)
+
+    @pytest.mark.parametrize("key, value", [
+        ("s1", True), ("s2", "1"), ("s1", None), ("s2", [0.6]),
+    ])
+    def test_journaled_row_keeps_json_types(self, key, value):
+        sample = make_samples(1)[0]
+        row = {"s1": 0.5, "s2": 0.6, "label": "Positive", "speech_used": "Synthetic"}
+        assert ScoredSample.from_row(dataclasses.replace(sample, annotations=row)) == \
+            ScoredSample.from_scores(sample, SpeechUsed.SYNTHETIC, 0.5, 0.6)
+        row[key] = value
+        message = (f"scored manifest row for {sample.id} is inconsistent: "
+                   f"expected a number, got {value!r}")
+        with pytest.raises(ResumeStateCorrupt, match=re.escape(message)):
+            ScoredSample.from_row(dataclasses.replace(sample, annotations=row))
 
 
 # --- voice selection -------------------------------------------------------
@@ -339,10 +354,15 @@ def synthetic_scored(pairs, start=0):
 class TestPartition:
     def test_counts_and_membership(self, tmp_path):
         scored = synthetic_scored([(0.2, 0.5), (0.5, 0.2), (0.4, 0.4), (0.1, 0.9)])
-        result = partition_and_emit(scored, 1, str(tmp_path / "r1"), workspace=str(tmp_path))
+        out = tmp_path / "r1"
+        result = partition_and_emit(scored, 1, str(out), workspace=str(tmp_path))
         assert (result.n_positive, result.n_negative) == (2, 2)
-        pos = load_manifest(result.positives_path, strict=True)
-        neg = load_manifest(result.negatives_path, strict=True)
+        assert result.written == {
+            name: (out / name).read_bytes()
+            for name in ("positives.jsonl", "negatives.jsonl", "jobspec.json")
+        }
+        pos = load_manifest(out / "positives.jsonl", strict=True)
+        neg = load_manifest(out / "negatives.jsonl", strict=True)
         assert {s.id for s in pos} == {scored[0].sample_id, scored[3].sample_id}
         assert {s.id for s in neg} == {scored[1].sample_id, scored[2].sample_id}
         assert result.jobspec is not None
@@ -352,9 +372,9 @@ class TestPartition:
         rng = random.Random(77)
         pairs = [(rng.randint(0, 64) / 64, rng.randint(0, 64) / 64) for _ in range(200)]
         scored = synthetic_scored(pairs)
-        result = partition_and_emit(scored, 2, str(tmp_path / "r2"), workspace=str(tmp_path))
-        pos_ids = {s.id for s in load_manifest(result.positives_path)}
-        neg_ids = {s.id for s in load_manifest(result.negatives_path)}
+        partition_and_emit(scored, 2, str(tmp_path / "r2"), workspace=str(tmp_path))
+        pos_ids = {s.id for s in load_manifest(tmp_path / "r2" / "positives.jsonl")}
+        neg_ids = {s.id for s in load_manifest(tmp_path / "r2" / "negatives.jsonl")}
         assert pos_ids.isdisjoint(neg_ids)
         assert pos_ids | neg_ids == {s.sample_id for s in scored}
         for item in scored:
@@ -363,7 +383,7 @@ class TestPartition:
     def test_manifest_rows_carry_scores(self, tmp_path):
         scored = synthetic_scored([(0.25, 0.75)])
         result = partition_and_emit(scored, 1, str(tmp_path / "r1"), workspace=str(tmp_path))
-        row = json.loads(Path(result.positives_path).read_text().strip())
+        row = json.loads(result.written["positives.jsonl"].decode().strip())
         assert row["s1"] == 0.25 and row["s2"] == 0.75
         assert row["label"] == "Positive"
         assert row["speech_used"] == "Synthetic"
@@ -374,8 +394,8 @@ class TestPartition:
         result = partition_and_emit(scored, 3, str(tmp_path / "r3"), workspace=str(tmp_path))
         assert result.jobspec is None
         assert result.warning and "no positive samples" in result.warning
-        assert Path(result.positives_path).read_text() == ""
-        assert len(Path(result.negatives_path).read_text().splitlines()) == 2
+        assert (tmp_path / "r3" / "positives.jsonl").read_text() == ""
+        assert len((tmp_path / "r3" / "negatives.jsonl").read_text().splitlines()) == 2
 
     def test_empty_scored_rejected(self, tmp_path):
         with pytest.raises(EmptyInput):
@@ -389,18 +409,18 @@ class TestPartition:
 
     def test_identical_input_identical_manifests_across_rounds(self, tmp_path):
         scored = synthetic_scored([(0.2, 0.6), (0.6, 0.2)])
-        r1 = partition_and_emit(scored, 1, str(tmp_path / "r1"), workspace=str(tmp_path))
-        r2 = partition_and_emit(scored, 2, str(tmp_path / "r2"), workspace=str(tmp_path))
-        assert Path(r1.positives_path).read_bytes() == Path(r2.positives_path).read_bytes()
-        assert Path(r1.negatives_path).read_bytes() == Path(r2.negatives_path).read_bytes()
+        for k in (1, 2):
+            partition_and_emit(scored, k, str(tmp_path / f"r{k}"), workspace=str(tmp_path))
+        for name in ("positives.jsonl", "negatives.jsonl"):
+            assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
     def test_rank_invariance(self, tmp_path):
         rng = random.Random(4242)
         pairs = [(rng.randint(0, 64) / 64, rng.randint(0, 64) / 64) for _ in range(60)]
         scored = synthetic_scored(pairs)
         base = partition_and_emit(scored, 1, str(tmp_path / "base"), workspace=str(tmp_path))
-        base_pos = [s.id for s in load_manifest(base.positives_path)]
-        base_neg = [s.id for s in load_manifest(base.negatives_path)]
+        base_pos = [s.id for s in load_manifest(tmp_path / "base" / "positives.jsonl")]
+        base_neg = [s.id for s in load_manifest(tmp_path / "base" / "negatives.jsonl")]
 
         for trial in range(20):
             power = rng.uniform(0.25, 3.0)
@@ -421,8 +441,9 @@ class TestPartition:
                 assert after.label is before.label
             out = partition_and_emit(mapped, 1, str(tmp_path / f"t{trial}"),
                                      workspace=str(tmp_path))
-            assert [s.id for s in load_manifest(out.positives_path)] == base_pos
-            assert [s.id for s in load_manifest(out.negatives_path)] == base_neg
+            out_dir = tmp_path / f"t{trial}"
+            assert [s.id for s in load_manifest(out_dir / "positives.jsonl")] == base_pos
+            assert [s.id for s in load_manifest(out_dir / "negatives.jsonl")] == base_neg
             assert (out.jobspec is None) == (base.jobspec is None)
 
 
@@ -1074,6 +1095,54 @@ class TestRunLoop:
             )
         for backend in (stack2.tts_backend, stack2.translate_backend, stack2.score_backend):
             assert backend.calls.count == 0
+
+    def test_a_file_replaced_before_its_record_fails_the_resume(self, tmp_path, monkeypatch):
+        # the ledger records the bytes this run wrote, so a second writer's
+        # file, put in place between the write and the record, is refused
+        ws = tmp_path / "ws"
+        write_jsonl = loop_mod.write_jsonl
+        replaced = []
+
+        def then_a_second_writer(path, rows):
+            data = write_jsonl(path, rows)
+            if Path(path) == ws / "rounds" / "1" / "scored.jsonl":
+                Path(path).write_bytes(Path(path).read_bytes().splitlines(keepends=True)[0])
+                replaced.append(path)
+            return data
+
+        train, eval_samples, config, stack = loop_fixture(ws)
+        with monkeypatch.context() as patch:
+            patch.setattr(loop_mod, "write_jsonl", then_a_second_writer)
+            run_loop(
+                train, eval_samples, POOL, config, stack.backends, str(ws),
+                version=stack.version,
+                max_in_flight=stack.max_in_flight,
+            )
+        assert len(replaced) == 1
+        train2, eval2, config2, stack2 = loop_fixture(ws)
+        message = "journaled file modified: rounds/1/scored.jsonl"
+        with pytest.raises(ResumeStateCorrupt, match=re.escape(message)):
+            run_loop(
+                train2, eval2, POOL, config2, stack2.backends, str(ws),
+                version=stack2.version,
+                max_in_flight=stack2.max_in_flight,
+            )
+
+    @pytest.mark.parametrize("phase, written", [
+        ("update", {"positives.jsonl": b"", "negatives.jsonl": b""}),
+        ("refinement", {"scored.jsonl": b"", "state.json": b"{}"}),
+        ("evaluation", {"rounds/1/state.json": b"{}"}),
+        ("acquisition", {}),
+        ("training", {}),
+    ], ids=["file-missing", "file-extra", "relative-path", "nothing", "unknown-phase"])
+    def test_record_phase_refuses_a_wrong_file_set(self, tmp_path, phase, written):
+        jrnl = Journal(str(tmp_path))
+        jrnl.open({"config": "c"})
+        ledger = (tmp_path / "journal.json").read_bytes()
+        with pytest.raises(ValueError, match=phase):
+            jrnl.record_phase(1, phase, written)
+        assert (tmp_path / "journal.json").read_bytes() == ledger
+        assert jrnl.phase_done(1, phase) is None
 
     def test_config_change_is_corrupt(self, tmp_path):
         ws = tmp_path / "ws"
