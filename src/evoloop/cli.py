@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .atomic import write_atomic, write_json, write_jsonl
+from .atomic import NOT_OBJECT, read_jsonl, write_atomic, write_json, write_jsonl
 from .backends.clients import EndpointConfig
 from .backends.mock import LookupTranslator
 from .corpus import (
@@ -123,6 +123,15 @@ def _config_section(obj, where: str) -> dict:
     return obj
 
 
+# command-line flags and the RunConfig field each overrides when it is set
+_FLAG_FIELDS = {"workspace": "workspace", "mock": "mock", "strict": "strict_manifests",
+                "piece_table": "piece_table_path", "update_hook": "update_hook"}
+# flags that override an EvolutionConfig field whenever given, so --seed 0 applies
+_EVOLUTION_FLAGS = {"seed": "seed", "epsilon": "epsilon", "patience": "patience",
+                    "max_rounds": "max_rounds", "eval_voice": "fixed_eval_voice",
+                    "speech_source": "speech_source"}
+
+
 def load_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
@@ -165,20 +174,11 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     if env_workspace:
         cfg = replace(cfg, workspace=env_workspace)
 
-    if getattr(args, "workspace", None):
-        cfg = replace(cfg, workspace=args.workspace)
-    if getattr(args, "mock", False):
-        cfg = replace(cfg, mock=True)
-    if getattr(args, "strict", False):
-        cfg = replace(cfg, strict_manifests=True)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, evolution=replace(cfg.evolution, seed=args.seed))
-    if getattr(args, "piece_table", None):
-        cfg = replace(cfg, piece_table_path=args.piece_table)
+    for flag, name in _FLAG_FIELDS.items():
+        if getattr(args, flag, None):
+            cfg = replace(cfg, **{name: getattr(args, flag)})
     if getattr(args, "voices", None):
         cfg = replace(cfg, voices=tuple(v for v in args.voices.split(",") if v))
-    if getattr(args, "update_hook", None):
-        cfg = replace(cfg, update_hook=args.update_hook)
     if getattr(args, "mock_schedule", None):
         try:
             schedule = tuple(float(x) for x in args.mock_schedule.split(","))
@@ -186,14 +186,13 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"bad --mock-schedule: {exc}") from exc
         cfg = replace(cfg, mock_schedule=schedule)
 
-    for name in ("epsilon", "patience", "max_rounds", "eval_voice", "speech_source"):
-        value = getattr(args, name, None)
+    for flag, name in _EVOLUTION_FLAGS.items():
+        value = getattr(args, flag, None)
         if value is not None:
-            key = "fixed_eval_voice" if name == "eval_voice" else name
             try:
-                cfg = replace(cfg, evolution=replace(cfg.evolution, **{key: value}))
+                cfg = replace(cfg, evolution=replace(cfg.evolution, **{name: value}))
             except ValueError as exc:
-                raise UsageError(f"invalid --{name.replace('_', '-')}: {exc}") from exc
+                raise UsageError(f"invalid --{flag.replace('_', '-')}: {exc}") from exc
     if not cfg.voices:
         raise UsageError("the voice pool is empty")
     return cfg
@@ -315,22 +314,15 @@ def _load_hypotheses(path: str, samples: Sequence[Sample]) -> Dict[str, str]:
     sample must have one."""
     hyps: Dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
-                        and isinstance(obj.get("text"), str)):
-                    raise MissingHypotheses(
-                        f"{path}:{line_no}: rows need string 'id' and 'text'"
-                    )
-                hyps[obj["id"]] = obj["text"]
+        for line_no, row in read_jsonl(path):
+            if isinstance(row, str) and row != NOT_OBJECT:
+                raise MissingHypotheses(f"{path}:{line_no}: invalid JSON: {row}")
+            if not (isinstance(row, dict) and isinstance(row.get("id"), str)
+                    and isinstance(row.get("text"), str)):
+                raise MissingHypotheses(f"{path}:{line_no}: rows need string 'id' and 'text'")
+            hyps[row["id"]] = row["text"]
     except FileNotFoundError as exc:
         raise MissingHypotheses(f"hypotheses file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise MissingHypotheses(f"{path}: invalid JSON: {exc}") from exc
     missing = [s.id for s in samples if s.id not in hyps]
     if missing:
         raise MissingHypotheses(
@@ -376,12 +368,25 @@ def _direction_rows(args: argparse.Namespace) -> List[DirectionScore]:
 
 # --- subcommands -----------------------------------------------------------------
 
+# shared errors start with their line number; validate prints its own
+_LINE_PREFIX = re.compile(r"^line \d+: ")
+
+
 def cmd_validate(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
     errors: List[Tuple[int, str]] = []
     count = 0
     try:
-        for _line_no, _sample in _iter_with_errors(args.manifest, cfg.strict_manifests, errors):
-            count += 1
+        for line_no, row in read_jsonl(args.manifest):
+            if row == NOT_OBJECT:
+                errors.append((line_no, "manifest line must be a JSON object"))
+            elif isinstance(row, str):
+                errors.append((line_no, f"invalid JSON: {row}"))
+            else:
+                try:
+                    sample_from_json(row, line_no=line_no, strict=cfg.strict_manifests)
+                    count += 1
+                except EvoloopError as exc:
+                    errors.append((line_no, _LINE_PREFIX.sub("", str(exc))))
     except FileNotFoundError as exc:
         raise UsageError(str(exc)) from exc
     for line_no, message in errors:
@@ -397,28 +402,6 @@ def cmd_validate(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:
         return 1, payload
     print(f"{count} samples OK")
     return 0, payload
-
-
-_LINE_PREFIX = re.compile(r"^line \d+: ")
-
-
-def _iter_with_errors(path, strict, errors):
-    """Per-line iteration that records errors instead of stopping."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append((line_no, f"invalid JSON: {exc.msg}"))
-                continue
-            try:
-                if not isinstance(obj, dict):
-                    raise EvoloopError("manifest line must be a JSON object")
-                yield line_no, sample_from_json(obj, line_no=line_no, strict=strict)
-            except EvoloopError as exc:
-                errors.append((line_no, _LINE_PREFIX.sub("", str(exc))))
 
 
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig, ws: Path) -> Outcome:

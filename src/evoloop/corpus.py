@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import io
 import json
 import logging
 import re
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
-from .atomic import write_jsonl
+from .atomic import read_jsonl, write_jsonl
 from .errors import (
     EmptyField,
     IdMismatch,
@@ -267,21 +266,6 @@ def sample_from_json(obj: dict, line_no: int | None = None, strict: bool = False
     )
 
 
-def _parse_lines(lines: Iterable[str], strict: bool) -> list[Sample]:
-    samples = []
-    for line_no, raw in enumerate(lines, 1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(line_no, exc.msg) from exc
-        if not isinstance(obj, dict):
-            raise MalformedLine(line_no, "not a JSON object")
-        samples.append(sample_from_json(obj, line_no, strict=strict))
-    return samples
-
-
 def load_manifest(
     path: str | Path, strict: bool = False, *, data: bytes | None = None
 ) -> list[Sample]:
@@ -290,13 +274,15 @@ def load_manifest(
     Samples come back in file order; ids are recomputed and verified against
     any stored id field; the first invalid line raises. `data`, when given,
     is the file's content already read: it is parsed as the file would be,
-    and the file is not opened again. Either way lines are decoded and
-    split as they stream, so no decoded copy of the whole file is held.
+    and the file is not opened again. Either way lines are decoded as they
+    stream, so no decoded copy of the whole file is held.
     """
-    if data is not None:
-        return _parse_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), strict)
-    with open(path, encoding="utf-8") as fh:
-        return _parse_lines(fh, strict)
+    samples = []
+    for line_no, row in read_jsonl(path if data is None else data):
+        if isinstance(row, str):
+            raise MalformedLine(line_no, row)
+        samples.append(sample_from_json(row, line_no, strict=strict))
+    return samples
 
 
 def save_manifest(samples: Iterable[Sample], path: str | Path) -> bytes:

@@ -6,11 +6,14 @@ import hashlib
 import inspect
 import json
 import logging
+import re
 import shutil
 import string
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from evoloop.backends.batch import run_batch
 from evoloop.backends.clients import EndpointConfig
@@ -23,8 +26,8 @@ from evoloop.cli import (
     load_run_config,
     main,
 )
-from evoloop.corpus import hash_sample
-from evoloop.errors import PermanentBackendError
+from evoloop.corpus import hash_sample, load_manifest
+from evoloop.errors import EvoloopError, PermanentBackendError
 from evoloop.evolution import (
     EvolutionConfig,
     run_acquisition,
@@ -137,6 +140,57 @@ def test_validate_reports_each_bad_line(tmp_path, capsys):
     assert lines[3] == "1 valid, 3 invalid"
 
 
+def test_validate_reports_a_line_that_is_not_utf8_and_goes_on(tmp_path, capsys):
+    path = write_manifest(tmp_path / "m.jsonl", make_rows(3))
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b"alpha1", b"alpha1\xff")
+    path.write_bytes(b"".join(lines))
+    code, out = run_cli(["validate", path], capsys)
+    assert code == 1
+    assert out == "line 2: invalid JSON: not UTF-8\n2 valid, 1 invalid\n"
+
+
+def _row_line(**overrides) -> bytes:
+    return json.dumps(dict(make_rows(1)[0], **overrides), ensure_ascii=False).encode("utf-8")
+
+
+# one manifest line each: good rows, blank lines, bad JSON, non-objects,
+# unknown languages, wrong stored ids and lines that are not UTF-8
+MANIFEST_LINES = st.one_of(
+    st.sampled_from(["alpha", "ជំរាប", "Größe"]).map(lambda text: _row_line(text=text)),
+    st.just(_row_line(id=hash_sample("alpha0 shared0 middle0 tail0",
+                                     "alpha0 shared0 middle0 tail0", "eng", "khm"))),
+    st.sampled_from([b"", b"   ", b"\t"]),
+    st.sampled_from([b"{not json", b'{"text": }', b"[1, 2]", b"5", b'"row"', b"null"]),
+    st.sampled_from(["xx", "elv"]).map(lambda code: _row_line(src_lang=code)),
+    st.just(_row_line(id="deadbeef")),
+    st.just(_row_line().replace(b"alpha", b"alpha\xff")),
+)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(st.tuples(MANIFEST_LINES, st.sampled_from([b"\n", b"\r\n"])),
+                      max_size=6))
+def test_validate_and_load_manifest_agree(tmp_path, capsys, lines):
+    data = b"".join(line + end for line, end in lines)
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(data)
+    code, out = run_cli(["validate", path], capsys)
+    *errors, summary = out.splitlines()
+    try:
+        samples = load_manifest(path)
+    except EvoloopError as exc:
+        assert code == 1 and errors
+        first = int(re.match(r"line (\d+): ", errors[0]).group(1))
+        assert exc.line_no == first
+        assert re.search(rf"\bline {first}\b", str(exc))
+    else:
+        assert code == 0 and not errors
+        assert summary == f"{len(samples)} samples OK"
+        assert samples == load_manifest(tmp_path / "never-opened.jsonl", data=data)
+
+
 def test_validate_missing_file_is_config_error(tmp_path, capsys):
     code, _ = run_cli(["validate", tmp_path / "nope.jsonl"], capsys)
     assert code == 2
@@ -234,6 +288,10 @@ def test_flag_overrides_reach_evolution_config(corpus_dir):
     assert cfg.evolution.fixed_eval_voice == "narrator"
     assert cfg.mock
     assert cfg.mock_schedule == (0.800, 0.819, 0.839, 0.856, 0.8565)
+    conf = corpus_dir / "conf.json"
+    conf.write_text(json.dumps({"evolution": {"seed": 7}}))
+    cfg = load_run_config(parse(argv + ["--config", conf, "--seed", "0"]))
+    assert cfg.evolution.seed == 0
 
 
 def test_bad_config_json_is_usage_error(tmp_path):
@@ -456,17 +514,26 @@ def test_score_missing_hypotheses(corpus_dir, capsys):
     assert "lack hypotheses" in err
 
 
-@pytest.mark.parametrize("bad", [{"text": 5}, {"id": [1]}], ids=["int-text", "list-id"])
-def test_score_non_string_hypothesis_row(corpus_dir, capsys, bad):
+@pytest.mark.parametrize("bad, message", [
+    ({"text": 5}, "rows need string 'id' and 'text'"),
+    ({"id": [1]}, "rows need string 'id' and 'text'"),
+    (b'{"id": "x", "text": }', "invalid JSON: Expecting value"),
+    (b'{"id": "x", "text": "caf\xe9"}', "invalid JSON: not UTF-8"),
+], ids=["int-text", "list-id", "invalid-json", "not-utf8"])
+def test_score_non_string_hypothesis_row(corpus_dir, capsys, bad, message):
     ws = corpus_dir / "ws"
     rows = hyp_rows(make_rows(6))
-    rows[1] = dict(rows[1], **bad)
+    if isinstance(bad, dict):
+        rows[1] = dict(rows[1], **bad)
     hyp = write_manifest(ws / "hyp.jsonl", rows)
+    if isinstance(bad, bytes):
+        lines = hyp.read_bytes().splitlines(keepends=True)
+        hyp.write_bytes(b"".join([lines[0], bad + b"\n", *lines[2:]]))
     code, err = run_cli_err(
         ["score", corpus_dir / "train.jsonl", "--hyp", hyp,
          "--workspace", ws, "--mock"], capsys)
     assert code == 1
-    assert f"{hyp}:2: rows need string 'id' and 'text'" in err
+    assert f"{hyp}:2: {message}" in err
 
 
 # --- evaluate -----------------------------------------------------------------

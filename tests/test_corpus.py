@@ -162,9 +162,9 @@ class TestLoadManifest:
             load_manifest(p)
         assert exc.value.line_no == 2
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_given_bytes_split_lines_as_text_mode_open(self, tmp_path, newline):
-        # line numbers count \r and \r\n endings as a text-mode open() does;
+        # line numbers count \n and \r\n endings as a text-mode open() does;
         # U+2028 inside a string value is not a line break
         data = newline.join([_line(text="One\u2028two."), "", "{not json"]).encode("utf-8")
         p = tmp_path / "m.jsonl"
@@ -176,6 +176,26 @@ class TestLoadManifest:
         assert exc.value.line_no == 3
         (sample,) = load_manifest(p, data=data[:data.index(b"{not")])
         assert sample.text == "One\u2028two."
+
+    def test_bare_carriage_return_does_not_end_a_line(self, tmp_path):
+        # a text-mode open() would split here and blame line 3
+        data = "\r".join([_line(), "", "{not json"]).encode("utf-8")
+        p = tmp_path / "m.jsonl"
+        p.write_bytes(data)
+        for source in ({"path": p}, {"path": tmp_path / "never-opened.jsonl", "data": data}):
+            with pytest.raises(MalformedLine) as exc:
+                load_manifest(**source)
+            assert exc.value.line_no == 1
+
+    def test_line_that_is_not_utf8_reports_its_number(self, tmp_path):
+        data = b"\n".join([_line().encode(), _line(text="caf\xe9.").encode("latin-1"),
+                           b"{not json"])
+        p = tmp_path / "m.jsonl"
+        p.write_bytes(data)
+        for source in ({"path": p}, {"path": tmp_path / "never-opened.jsonl", "data": data}):
+            with pytest.raises(MalformedLine) as exc:
+                load_manifest(**source)
+            assert str(exc.value) == "line 2: malformed JSON: not UTF-8"
 
     def test_non_object_line_is_malformed(self, tmp_path):
         p = tmp_path / "m.jsonl"
