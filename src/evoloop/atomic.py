@@ -18,7 +18,8 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator
 
-__all__ = ["NOT_OBJECT", "NOT_UTF8", "read_jsonl", "write_atomic", "write_json", "write_jsonl"]
+__all__ = ["NOT_OBJECT", "NOT_UTF8", "canonical_payload", "read_jsonl", "write_atomic",
+           "write_json", "write_jsonl"]
 
 # read once: os.umask can only be read by setting it
 _UMASK = os.umask(0)
@@ -42,6 +43,12 @@ def write_atomic(path: str | Path, data: bytes) -> bytes:
             pass
         raise
     return data
+
+
+def canonical_payload(payload: object) -> str:
+    """payload as compact, sorted-key JSON text: the one encoding that
+    content ids, cache keys and run fingerprints hash."""
+    return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
 def write_json(path: str | Path, obj) -> bytes:

@@ -33,13 +33,11 @@ import threading
 import weakref
 from pathlib import Path
 
+from ..atomic import canonical_payload
+
 LOG_NAME = "responses.log"
 # a record's header: its key and the byte length of the response text after it
 _HEADER = struct.Struct("<32sI")
-
-
-def canonical_payload(payload: object) -> str:
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
 def entry_key(endpoint: str, namespace: str, payload: dict) -> bytes:

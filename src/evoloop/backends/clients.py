@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from ..corpus import AudioOrigin, AudioRef
+from ..corpus import AudioRef
 from ..errors import (
     DurationOverrun,
     EmptyTranslation,
@@ -117,7 +117,6 @@ class TtsClient(_CachedClient):
             uri=resp["uri"],
             duration_s=float(resp["duration_s"]),
             sample_rate_hz=int(resp["sample_rate_hz"]),
-            origin=AudioOrigin.SYNTHETIC,
             voice_id=voice_id,
         )
         if audio.duration_s > DURATION_LIMIT_S:

@@ -512,13 +512,13 @@ def _evaluate_rows(args, cfg: RunConfig, ws: Path) -> List[DirectionScore]:
     samples = _load_samples(args.manifest, cfg.strict_manifests)
     if not args.hyp:
         raise MissingHypotheses("evaluate needs --hyp (or --direction-scores)")
-    hyps = _load_hypotheses(args.hyp, samples)
-    if not cfg.piece_table_path:
-        raise UsageError("metrics.piece_table_path is required for spBLEU")
-    table = load_piece_table(cfg.piece_table_path)
     groups = split_directions(samples)
     directions = _select_directions(list(groups), args.direction)
     selected = [s for direction in directions for s in groups[direction]]
+    hyps = _load_hypotheses(args.hyp, selected)
+    if not cfg.piece_table_path:
+        raise UsageError("metrics.piece_table_path is required for spBLEU")
+    table = load_piece_table(cfg.piece_table_path)
     with build_stack(cfg, ws, samples) as stack:
         values = _scores(stack, selected, hyps)
     rows = []

@@ -7,23 +7,23 @@ Manifests are UTF-8 JSONL, one sample object per line:
               degraded, s1, s2, label, speech_used   (round annotations)
 
 Audio objects carry {uri, duration_s, sample_rate_hz, voice_id}; whether a
-clip is authentic or synthetic is implied by the field it sits in. Text bytes
-are preserved exactly as stored (no Unicode normalization) so metric scores
-stay reproducible against external tools.
+clip is authentic or synthetic is implied by the field it sits in, and a
+synthetic clip must name its voice_id. Text bytes are preserved exactly as
+stored (no Unicode normalization) so metric scores stay reproducible
+against external tools.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import json
 import logging
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
-from .atomic import read_jsonl, write_jsonl
+from .atomic import canonical_payload, read_jsonl, write_jsonl
 from .errors import (
     EmptyField,
     IdMismatch,
@@ -91,11 +91,6 @@ def _require_known(code: str, line_no: int | None = None) -> None:
         raise UnknownLanguage(code, line_no)
 
 
-class AudioOrigin(str, enum.Enum):
-    AUTHENTIC = "Authentic"
-    SYNTHETIC = "Synthetic"
-
-
 @dataclass(frozen=True)
 class AudioRef:
     """Descriptor of a speech asset; never decodes audio."""
@@ -103,7 +98,6 @@ class AudioRef:
     uri: str  # workspace-relative path
     duration_s: float
     sample_rate_hz: int
-    origin: AudioOrigin
     voice_id: str = ""
 
     def __post_init__(self):
@@ -111,8 +105,6 @@ class AudioRef:
             raise ValueError(f"negative duration: {self.duration_s}")
         if self.sample_rate_hz <= 0:
             raise ValueError(f"bad sample rate: {self.sample_rate_hz}")
-        if self.origin is AudioOrigin.SYNTHETIC and not self.voice_id:
-            raise ValueError("synthetic audio requires a voice_id")
 
     def to_json(self) -> dict:
         return {
@@ -123,12 +115,11 @@ class AudioRef:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, origin: AudioOrigin) -> "AudioRef":
+    def from_json(cls, obj: dict) -> "AudioRef":
         return cls(
             uri=obj["uri"],
             duration_s=float(obj["duration_s"]),
             sample_rate_hz=int(obj["sample_rate_hz"]),
-            origin=origin,
             voice_id=obj.get("voice_id", ""),
         )
 
@@ -136,11 +127,7 @@ class AudioRef:
 def hash_sample(text: str, reference: str, src_lang: str, tgt_lang: str) -> str:
     """Stable content id: SHA-256 over the canonical JSON array
     [src_lang, tgt_lang, text, reference], serialized without whitespace."""
-    canonical = json.dumps(
-        [src_lang, tgt_lang, text, reference],
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
+    canonical = canonical_payload([src_lang, tgt_lang, text, reference])
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -235,15 +222,17 @@ def sample_from_json(obj: dict, line_no: int | None = None, strict: bool = False
 
     try:
         authentic = (
-            AudioRef.from_json(obj["authentic_audio"], AudioOrigin.AUTHENTIC)
+            AudioRef.from_json(obj["authentic_audio"])
             if obj.get("authentic_audio")
             else None
         )
         synthetic = (
-            AudioRef.from_json(obj["synthetic_audio"], AudioOrigin.SYNTHETIC)
+            AudioRef.from_json(obj["synthetic_audio"])
             if obj.get("synthetic_audio")
             else None
         )
+        if synthetic is not None and not synthetic.voice_id:
+            raise ValueError("synthetic audio requires a voice_id")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedLine(line_no or 0, f"bad audio object: {exc}") from exc
 

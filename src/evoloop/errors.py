@@ -13,6 +13,11 @@ class EvoloopError(Exception):
 
 # --- corpus ---------------------------------------------------------------
 
+def _at_line(line_no: int | None, message: str) -> str:
+    """message, led by `line N: ` when the line is known."""
+    return message if line_no is None else f"line {line_no}: {message}"
+
+
 class MalformedLine(EvoloopError):
     def __init__(self, line_no: int, detail: str = ""):
         self.line_no = line_no
@@ -24,16 +29,14 @@ class UnknownLanguage(EvoloopError):
     def __init__(self, code: str, line_no: int | None = None):
         self.code = code
         self.line_no = line_no
-        at = f" (line {line_no})" if line_no is not None else ""
-        super().__init__(f"unknown language code {code!r}{at}")
+        super().__init__(_at_line(line_no, f"unknown language code {code!r}"))
 
 
 class EmptyField(EvoloopError):
     def __init__(self, field: str, line_no: int | None = None):
         self.field = field
         self.line_no = line_no
-        at = f" (line {line_no})" if line_no is not None else ""
-        super().__init__(f"field {field!r} is empty{at}")
+        super().__init__(_at_line(line_no, f"field {field!r} is empty"))
 
 
 class IdMismatch(EvoloopError):
@@ -50,8 +53,7 @@ class UnknownField(EvoloopError):
     def __init__(self, field: str, line_no: int | None = None):
         self.field = field
         self.line_no = line_no
-        at = f" (line {line_no})" if line_no is not None else ""
-        super().__init__(f"unknown manifest field {field!r}{at}")
+        super().__init__(_at_line(line_no, f"unknown manifest field {field!r}"))
 
 
 # --- metrics --------------------------------------------------------------

@@ -26,8 +26,7 @@ import os
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Optional
 
-from ..atomic import write_json
-from ..backends.cache import canonical_payload
+from ..atomic import canonical_payload, write_json
 from ..errors import ResumeStateCorrupt
 from .types import RoundState, json_integer, json_number
 

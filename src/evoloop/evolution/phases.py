@@ -188,7 +188,7 @@ def run_refinement(
             s1 = score.score(sample.text, text_only.text, sample.reference)
             guided = translate.translate("smt", sample.text, audio, sample.direction)
             s2 = score.score(sample.text, guided.text, sample.reference)
-            return ScoredSample.from_scores(sample, used, s1, s2)
+            return ScoredSample(sample, used, s1, s2)
 
         return work
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import MISSING, dataclass, field, fields
-from typing import AbstractSet, Dict, Optional, Tuple
+from typing import AbstractSet, Dict, Tuple
 
 from ..corpus import Sample
 from ..errors import ResumeStateCorrupt
@@ -122,49 +122,27 @@ def json_fields(obj: object, cls, required: AbstractSet[str] = frozenset(),
 class ScoredSample:
     """Labeled outcome of one refinement comparison.
 
-    s1 scores the text-only translation, s2 the speech-guided one. The
-    full Sample rides along (excluded from equality) so manifests can be
+    s1 scores the text-only translation, s2 the speech-guided one, and the
+    label follows from them. The full Sample is kept so manifests can be
     written without a second lookup.
     """
 
-    sample_id: str
+    sample: Sample
     speech_used: SpeechUsed
     s1: float
     s2: float
-    label: Label
-    sample: Optional[Sample] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "speech_used", SpeechUsed(self.speech_used))
         object.__setattr__(self, "s1", _check_unit("s1", self.s1))
         object.__setattr__(self, "s2", _check_unit("s2", self.s2))
-        object.__setattr__(self, "label", Label(self.label))
-        if self.label is not label_for(self.s1, self.s2):
-            raise ValueError(
-                f"label {self.label.value} contradicts s1={self.s1}, s2={self.s2}"
-            )
 
-    @classmethod
-    def from_scores(
-        cls,
-        sample: Sample,
-        speech_used: SpeechUsed,
-        s1: float,
-        s2: float,
-    ) -> "ScoredSample":
-        return cls(
-            sample_id=sample.id,
-            speech_used=speech_used,
-            s1=float(s1),
-            s2=float(s2),
-            label=label_for(s1, s2),
-            sample=sample,
-        )
+    @property
+    def label(self) -> Label:
+        return label_for(self.s1, self.s2)
 
     def to_row(self) -> Dict[str, object]:
         """Manifest row: the full sample record plus the refinement verdict."""
-        if self.sample is None:
-            raise ValueError(f"scored sample {self.sample_id} lacks its sample record")
         row = self.sample.to_json()
         row.update(
             s1=self.s1,
@@ -176,17 +154,17 @@ class ScoredSample:
 
     @classmethod
     def from_row(cls, sample: Sample) -> "ScoredSample":
-        """Rebuild the scored record from a journaled row, loaded as a Sample."""
+        """Rebuild the scored record from a journaled row, loaded as a Sample.
+        The row's label must be the one its scores give."""
         ann = sample.annotations
         try:
-            return cls(
-                sample_id=sample.id,
-                speech_used=SpeechUsed(ann["speech_used"]),
-                s1=json_number(ann["s1"]),
-                s2=json_number(ann["s2"]),
-                label=Label(ann["label"]),
-                sample=sample,
-            )
+            scored = cls(sample, ann["speech_used"], json_number(ann["s1"]),
+                         json_number(ann["s2"]))
+            if Label(ann["label"]) is not scored.label:
+                raise ValueError(
+                    f"label {ann['label']} contradicts s1={scored.s1}, s2={scored.s2}"
+                )
+            return scored
         except (KeyError, TypeError, ValueError) as exc:
             raise ResumeStateCorrupt(
                 f"scored manifest row for {sample.id} is inconsistent: {exc}"

@@ -222,13 +222,13 @@ def test_labeling_partition_and_rank_invariance(tmp_path):
         s1, s2 = _grid_score(rng), _grid_score(rng)
         if i % 7 == 0:
             s2 = s1  # force ties into the set; they must land Negative
-        scored.append(ScoredSample.from_scores(sample, SpeechUsed.SYNTHETIC, s1, s2))
+        scored.append(ScoredSample(sample, SpeechUsed.SYNTHETIC, s1, s2))
 
     base = partition_and_emit(scored, 1, str(tmp_path / "base"), workspace=str(tmp_path))
     pos_ids = {s.id for s in load_manifest(tmp_path / "base" / "positives.jsonl")}
     neg_ids = {s.id for s in load_manifest(tmp_path / "base" / "negatives.jsonl")}
     assert pos_ids.isdisjoint(neg_ids)
-    assert pos_ids | neg_ids == {s.sample_id for s in scored}
+    assert pos_ids | neg_ids == {s.sample.id for s in scored}
     assert (len(pos_ids), len(neg_ids)) == (base.n_positive, base.n_negative)
     assert base.n_negative >= 9  # at least the forced ties
 
@@ -241,7 +241,7 @@ def test_labeling_partition_and_rank_invariance(tmp_path):
             return lo + (hi - lo) * x ** gamma
 
         relabeled = [
-            ScoredSample.from_scores(s.sample, s.speech_used, g(s.s1), g(s.s2))
+            ScoredSample(s.sample, s.speech_used, g(s.s1), g(s.s2))
             for s in scored
         ]
         assert [r.label for r in relabeled] == [s.label for s in scored]

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from evoloop.atomic import canonical_payload
 from evoloop.backends import (
     ContentCache,
     EndpointConfig,
@@ -26,7 +27,6 @@ from evoloop.backends import (
     entry_key,
 )
 from evoloop.backends import cache as cache_module
-from evoloop.backends.cache import canonical_payload
 from evoloop.backends.mock import (
     ContrastTranslator,
     LookupTranslator,
@@ -35,7 +35,7 @@ from evoloop.backends.mock import (
     ScheduledScorer,
     token_f1,
 )
-from evoloop.corpus import AudioOrigin, AudioRef
+from evoloop.corpus import AudioRef
 from evoloop.errors import (
     BackendUnavailable,
     DurationOverrun,
@@ -341,7 +341,6 @@ class TestMockTts:
         audio = client.synthesize("hello", "v1")
         assert audio.duration_s == pytest.approx(5 / 15.0)
         assert audio.sample_rate_hz == 16000
-        assert audio.origin is AudioOrigin.SYNTHETIC
         assert audio.voice_id == "v1"
 
     def test_target_duration_honored(self, tmp_path, cache):
@@ -410,7 +409,7 @@ class TestMockTts:
 
 class TestTranslateClient:
     def _audio(self):
-        return AudioRef("audio/x.wav", 1.0, 16000, AudioOrigin.SYNTHETIC, "v1")
+        return AudioRef("audio/x.wav", 1.0, 16000, "v1")
 
     def test_echo_mt(self, cache):
         client = TranslateClient(EchoTranslator(), cache, sleep=no_sleep)

@@ -128,11 +128,14 @@ def test_validate_reports_each_bad_line(tmp_path, capsys):
     path = write_manifest(tmp_path / "mixed.jsonl", [good, bad_lang, bad_id])
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("{not json\n")
-    code, out = run_cli(["validate", path], capsys)
+    report = tmp_path / "report.json"
+    code, out = run_cli(["validate", path, "--report", report], capsys)
     assert code == 1
     lines = out.strip().splitlines()
-    assert lines[0].startswith("line 2:")
-    assert "unknown language" in lines[0]
+    assert lines[0] == "line 2: unknown language code 'xx'"
+    errors = json.loads(report.read_text(encoding="utf-8"))["errors"]
+    assert errors[0] == {"line": 2, "error": "unknown language code 'xx'"}
+    assert [e["line"] for e in errors] == [2, 3, 4]
     assert lines[1].startswith("line 3:")
     assert "stored id" in lines[1]
     assert lines[2].startswith("line 4:")
@@ -671,6 +674,22 @@ def test_evaluate_direction_filter_scores_only_that_direction(corpus_dir, monkey
          "--direction", "eng-fra", "--workspace", ws, "--mock"], capsys)
     assert code == 2
     assert len(calls) == 2
+
+
+def test_evaluate_direction_needs_hypotheses_only_for_its_rows(corpus_dir, capsys):
+    ws = corpus_dir / "ws"
+    khm = make_rows(2)
+    manifest = write_manifest(corpus_dir / "m.jsonl", khm + make_rows(2, tgt="deu"))
+    hyp = write_manifest(ws / "hyp.jsonl", hyp_rows(khm))
+    table = write_piece_table(corpus_dir / "pieces.tsv")
+    argv = ["evaluate", manifest, "--hyp", hyp, "--piece-table", table,
+            "--workspace", ws, "--mock"]
+    code, out = run_cli(argv + ["--direction", "eng-khm"], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "eng-khm      100.0 / 100.0"
+    code, err = run_cli_err(argv, capsys)
+    assert code == 1
+    assert "2 sample(s) lack hypotheses" in err
 
 
 def test_evaluate_scores_every_direction_in_one_fan_out(corpus_dir, monkeypatch, capsys):

@@ -3,12 +3,12 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
 from evoloop import corpus
 from evoloop.corpus import (
-    AudioOrigin,
     AudioRef,
     ResourceLevel,
     Sample,
@@ -92,6 +92,10 @@ class TestHashSample:
         # produce the same canonical form.
         assert hash_sample("ab", "c", "eng", "deu") != hash_sample("a", "bc", "eng", "deu")
 
+    def test_pinned_id_with_escapes_and_non_ascii(self):
+        got = hash_sample('Größe "x" 5%', "ជំរាបសួរ", "eng", "khm")
+        assert got == "9d34dea5943dfbf3465d0b87c9b7c68c5196f10dd31bd16fbc617cff1b4ae58e"
+
     def test_random_inputs_match_json_recompute(self):
         rng = random.Random(20240817)
         alphabet = 'abc "\\é中\U0001d11e\n\t'
@@ -110,17 +114,21 @@ class TestSample:
         s = Sample.build("eng", "khm", "Hello world.", KHMER_REF)
         assert s.id == hash_sample("Hello world.", KHMER_REF, "eng", "khm")
 
-    def test_synthetic_audio_requires_voice(self):
-        with pytest.raises(ValueError):
-            AudioRef("a.wav", 1.0, 16000, AudioOrigin.SYNTHETIC, voice_id="")
-        ok = AudioRef("a.wav", 1.0, 16000, AudioOrigin.SYNTHETIC, voice_id="v01")
-        assert ok.voice_id == "v01"
+    def test_synthetic_audio_requires_voice(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        audio = {"uri": "x.wav", "duration_s": 1.0, "sample_rate_hz": 16000}
+        _write_lines(p, [_line(synthetic_audio=audio)])
+        message = "line 1: malformed JSON: bad audio object: synthetic audio requires a voice_id"
+        with pytest.raises(MalformedLine, match=re.escape(message)):
+            load_manifest(p)
+        _write_lines(p, [_line(synthetic_audio={**audio, "voice_id": "v01"})])
+        assert load_manifest(p)[0].synthetic_audio.voice_id == "v01"
 
     def test_audio_rejects_bad_numbers(self):
         with pytest.raises(ValueError):
-            AudioRef("a.wav", -0.5, 16000, AudioOrigin.AUTHENTIC)
+            AudioRef("a.wav", -0.5, 16000)
         with pytest.raises(ValueError):
-            AudioRef("a.wav", 1.0, 0, AudioOrigin.AUTHENTIC)
+            AudioRef("a.wav", 1.0, 0)
 
 
 def _write_lines(path, lines):
@@ -275,9 +283,8 @@ class TestLoadManifest:
                              "sample_rate_hz": 22050},
         )])
         (sample,) = load_manifest(p)
-        assert sample.synthetic_audio.origin is AudioOrigin.SYNTHETIC
         assert sample.synthetic_audio.voice_id == "v03"
-        assert sample.authentic_audio.origin is AudioOrigin.AUTHENTIC
+        assert sample.authentic_audio.voice_id == ""
         assert sample.authentic_audio.sample_rate_hz == 22050
 
     def test_bad_audio_object_is_malformed(self, tmp_path):
@@ -297,8 +304,7 @@ class TestRoundTrip:
             s = Sample.build(src, tgt, f"source text {i} 中文", f"ref {i}")
             if i % 3 == 0:
                 s = s.with_synthetic_audio(
-                    AudioRef(f"audio/{i}.wav", 1.5 + i, 16000,
-                             AudioOrigin.SYNTHETIC, voice_id=f"v{i:02d}"),
+                    AudioRef(f"audio/{i}.wav", 1.5 + i, 16000, voice_id=f"v{i:02d}"),
                     degraded=(i % 6 == 0),
                 )
             samples.append(s)

@@ -23,7 +23,7 @@ from evoloop.backends.mock import (
     MockTts,
     ScheduledScorer,
 )
-from evoloop.corpus import AudioOrigin, AudioRef, Sample, load_manifest
+from evoloop.corpus import AudioRef, Sample, load_manifest
 from evoloop.errors import (
     EmptyEvalSet,
     EmptyInput,
@@ -107,21 +107,26 @@ class TestLabelRule:
 
     def test_scored_sample_derives_label(self):
         sample = make_samples(1)[0]
-        scored = ScoredSample.from_scores(sample, SpeechUsed.SYNTHETIC, 0.5, 0.6)
-        assert scored.label is Label.POSITIVE
-        assert scored.sample_id == sample.id
+        assert [f.name for f in dataclasses.fields(ScoredSample)] == \
+            ["sample", "speech_used", "s1", "s2"]
+        assert ScoredSample(sample, SpeechUsed.SYNTHETIC, 0.5, 0.6).label is Label.POSITIVE
+        assert ScoredSample(sample, SpeechUsed.SYNTHETIC, 0.6, 0.6).label is Label.NEGATIVE
 
     def test_contradictory_label_rejected(self):
-        with pytest.raises(ValueError):
-            ScoredSample("x", SpeechUsed.SYNTHETIC, s1=0.5, s2=0.6, label=Label.NEGATIVE)
-        with pytest.raises(ValueError):
-            ScoredSample("x", SpeechUsed.SYNTHETIC, s1=0.6, s2=0.6, label=Label.POSITIVE)
+        sample = make_samples(1)[0]
+        for label, s1, s2 in [("Negative", 0.5, 0.6), ("Positive", 0.6, 0.6)]:
+            row = {"s1": s1, "s2": s2, "label": label, "speech_used": "Synthetic"}
+            message = (f"scored manifest row for {sample.id} is inconsistent: "
+                       f"label {label} contradicts s1={s1}, s2={s2}")
+            with pytest.raises(ResumeStateCorrupt, match=re.escape(message)):
+                ScoredSample.from_row(dataclasses.replace(sample, annotations=row))
 
     def test_scores_bounded(self):
+        sample = make_samples(1)[0]
         with pytest.raises(ValueError):
-            ScoredSample("x", SpeechUsed.SYNTHETIC, s1=-0.1, s2=0.5, label=Label.POSITIVE)
+            ScoredSample(sample, SpeechUsed.SYNTHETIC, s1=-0.1, s2=0.5)
         with pytest.raises(ValueError):
-            ScoredSample("x", SpeechUsed.SYNTHETIC, s1=0.5, s2=1.2, label=Label.POSITIVE)
+            ScoredSample(sample, SpeechUsed.SYNTHETIC, s1=0.5, s2=1.2)
 
     @pytest.mark.parametrize("key, value", [
         ("s1", True), ("s2", "1"), ("s1", None), ("s2", [0.6]),
@@ -130,7 +135,7 @@ class TestLabelRule:
         sample = make_samples(1)[0]
         row = {"s1": 0.5, "s2": 0.6, "label": "Positive", "speech_used": "Synthetic"}
         assert ScoredSample.from_row(dataclasses.replace(sample, annotations=row)) == \
-            ScoredSample.from_scores(sample, SpeechUsed.SYNTHETIC, 0.5, 0.6)
+            ScoredSample(sample, SpeechUsed.SYNTHETIC, 0.5, 0.6)
         row[key] = value
         message = (f"scored manifest row for {sample.id} is inconsistent: "
                    f"expected a number, got {value!r}")
@@ -185,7 +190,6 @@ class TestAcquisition:
         for before, after in zip(samples, out):
             audio = after.synthetic_audio
             assert audio is not None
-            assert audio.origin is AudioOrigin.SYNTHETIC
             assert audio.voice_id == choose_voice(5, before.id, POOL)
             assert not after.degraded
 
@@ -215,7 +219,7 @@ class TestAcquisition:
     def test_authentic_duration_becomes_target(self, tmp_path):
         config = EvolutionConfig(seed=1)
         base = make_samples(1)[0]
-        authentic = AudioRef("audio/real.wav", 4.2, 16000, AudioOrigin.AUTHENTIC)
+        authentic = AudioRef("audio/real.wav", 4.2, 16000)
         sample = Sample(**{**base.__dict__, "authentic_audio": authentic})
         (out,) = run_acquisition([sample], POOL, config, tts_client(tmp_path), max_in_flight=WIDTH)
         # mock duration equals the requested target
@@ -224,7 +228,7 @@ class TestAcquisition:
     def test_overrun_marks_degraded_not_dropped(self, tmp_path):
         config = EvolutionConfig(seed=1)
         base = make_samples(1)[0]
-        long_authentic = AudioRef("audio/long.wav", 31.0, 16000, AudioOrigin.AUTHENTIC)
+        long_authentic = AudioRef("audio/long.wav", 31.0, 16000)
         sample = Sample(**{**base.__dict__, "authentic_audio": long_authentic})
         (out,) = run_acquisition([sample], POOL, config, tts_client(tmp_path), max_in_flight=WIDTH)
         assert out.degraded
@@ -289,7 +293,7 @@ class TestRefinement:
         )
         translate, score = simple_clients(tmp_path)
         scored = run_refinement(acquired, EvolutionConfig(), translate, score, max_in_flight=WIDTH)
-        assert [s.sample_id for s in scored] == [acquired[0].id, acquired[2].id]
+        assert [s.sample.id for s in scored] == [acquired[0].id, acquired[2].id]
 
     def test_missing_audio(self, tmp_path):
         translate, score = simple_clients(tmp_path)
@@ -300,8 +304,8 @@ class TestRefinement:
 
     def test_speech_source_selection(self, tmp_path):
         base = make_samples(1)[0]
-        synthetic = AudioRef("audio/s.wav", 2.0, 16000, AudioOrigin.SYNTHETIC, "voice-a")
-        authentic = AudioRef("audio/a.wav", 2.0, 16000, AudioOrigin.AUTHENTIC)
+        synthetic = AudioRef("audio/s.wav", 2.0, 16000, "voice-a")
+        authentic = AudioRef("audio/a.wav", 2.0, 16000)
         both = Sample(**{
             **base.__dict__,
             "authentic_audio": authentic,
@@ -347,7 +351,7 @@ def synthetic_scored(pairs, start=0):
     out = []
     for i, (s1, s2) in enumerate(pairs, start=start):
         sample = Sample.build("eng", "lao", f"text number {i}", f"ref number {i}")
-        out.append(ScoredSample.from_scores(sample, SpeechUsed.SYNTHETIC, s1, s2))
+        out.append(ScoredSample(sample, SpeechUsed.SYNTHETIC, s1, s2))
     return out
 
 
@@ -363,8 +367,8 @@ class TestPartition:
         }
         pos = load_manifest(out / "positives.jsonl", strict=True)
         neg = load_manifest(out / "negatives.jsonl", strict=True)
-        assert {s.id for s in pos} == {scored[0].sample_id, scored[3].sample_id}
-        assert {s.id for s in neg} == {scored[1].sample_id, scored[2].sample_id}
+        assert {s.id for s in pos} == {scored[0].sample.id, scored[3].sample.id}
+        assert {s.id for s in neg} == {scored[1].sample.id, scored[2].sample.id}
         assert result.jobspec is not None
         assert list(result.jobspec.datasets) == ["r1/positives.jsonl"]
 
@@ -376,9 +380,9 @@ class TestPartition:
         pos_ids = {s.id for s in load_manifest(tmp_path / "r2" / "positives.jsonl")}
         neg_ids = {s.id for s in load_manifest(tmp_path / "r2" / "negatives.jsonl")}
         assert pos_ids.isdisjoint(neg_ids)
-        assert pos_ids | neg_ids == {s.sample_id for s in scored}
+        assert pos_ids | neg_ids == {s.sample.id for s in scored}
         for item in scored:
-            assert (item.sample_id in pos_ids) == (item.s2 > item.s1)
+            assert (item.sample.id in pos_ids) == (item.s2 > item.s1)
 
     def test_manifest_rows_carry_scores(self, tmp_path):
         scored = synthetic_scored([(0.25, 0.75)])
@@ -433,7 +437,7 @@ class TestPartition:
             mapped = []
             for item, (s1, s2) in zip(scored, pairs):
                 mapped.append(
-                    ScoredSample.from_scores(
+                    ScoredSample(
                         item.sample, item.speech_used, transform(s1), transform(s2)
                     )
                 )
@@ -501,7 +505,7 @@ class TestEvaluation:
 
     def test_fixed_voice_used_everywhere(self, tmp_path):
         samples = make_samples(4)
-        authentic = AudioRef("audio/a.wav", 3.0, 16000, AudioOrigin.AUTHENTIC)
+        authentic = AudioRef("audio/a.wav", 3.0, 16000)
         samples[0] = Sample(**{**samples[0].__dict__, "authentic_audio": authentic})
         recorder = RecordingTts(MockTts())
         cache = ContentCache(tmp_path / "cache")
@@ -564,7 +568,7 @@ class TestFailuresWithinBudget:
         translate, _ = simple_clients(tmp_path)
         score = ScoreClient(FailingScorer([failed.text]), ContentCache(tmp_path / "c2"))
         scored = run_refinement(acquired, EvolutionConfig(), translate, score, max_in_flight=WIDTH)
-        assert [s.sample_id for s in scored] == [s.id for s in acquired if s is not failed]
+        assert [s.sample.id for s in scored] == [s.id for s in acquired if s is not failed]
         assert f"refinement failed for {failed.id}" in caplog.text
 
     def test_refinement_second_failure_exceeds_budget(self, tmp_path):

@@ -35,6 +35,8 @@ def test_wrapped_name_is_in_its_owners_dict(module_name, class_name, attr, span)
 @pytest.mark.parametrize("module_name, attr", [
     ("evoloop.evolution.phases", "run_batch"),
     ("evoloop.backends.clients", "with_retry"),
+    # `perfbench/workloads.py` replaces it to count mock requests
+    ("evoloop.cli", "build_mock_stack"),
 ])
 def test_batch_and_retry_layers_are_module_globals(module_name, attr):
     module = tracing._resolve(module_name, None)

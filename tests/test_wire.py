@@ -117,10 +117,10 @@ class TestWireShapes:
         assert hyp.text == "GUTEN TAG"
 
     def test_smt_translate_includes_audio_uri(self, server, tmp_path):
-        from evoloop.corpus import AudioOrigin, AudioRef
+        from evoloop.corpus import AudioRef
         transport = HttpTransport(base_url(server), timeout_s=5)
         client = TranslateClient(transport, ContentCache(tmp_path / "c"), sleep=no_sleep)
-        audio = AudioRef("audio/clip.wav", 2.0, 16000, AudioOrigin.SYNTHETIC, "v1")
+        audio = AudioRef("audio/clip.wav", 2.0, 16000, "v1")
         client.translate("smt", "guten tag", audio, ("deu", "eng"))
         _, payload, _ = server.state["requests"][0]
         assert payload["audio_uri"] == "audio/clip.wav"
