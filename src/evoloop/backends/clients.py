@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from ..atomic import json_field, json_number, json_string
 from ..corpus import AudioRef
 from ..errors import (
     DurationOverrun,
@@ -72,12 +73,15 @@ class _CachedClient:
     def namespace(self) -> str:
         return self._namespace() if callable(self._namespace) else self._namespace
 
-    def _call(self, method: Callable[[dict], dict], payload: dict) -> dict:
+    def _call(self, method: Callable[[dict], dict], payload: dict, check: Callable):
+        """check(reply), for the cached reply or a fresh one. A fresh reply
+        is cached only once check accepts it, so a refused reply is asked
+        for again rather than replayed."""
         # hashed once for both the get and a miss's put
         key = entry_key(self._endpoint, self.namespace(), payload)
         cached = self._cache.get(key)
         if cached is not None:
-            return cached
+            return check(cached)
         response, _ = with_retry(
             lambda: method(payload),
             endpoint=self._endpoint,
@@ -85,8 +89,9 @@ class _CachedClient:
             backoff_base_ms=self._config.backoff_base_ms,
             sleep=self._sleep,
         )
+        value = check(response)
         self._cache.put(key, response)
-        return response
+        return value
 
 
 class TtsClient(_CachedClient):
@@ -110,15 +115,10 @@ class TtsClient(_CachedClient):
         if target_duration_s is not None:
             payload["target_duration_s"] = float(target_duration_s)
         try:
-            resp = self._call(self._backend.tts, payload)
+            audio = self._call(self._backend.tts, payload,
+                               lambda reply: AudioRef.from_json({**reply, "voice_id": voice_id}))
         except PermanentBackendError as exc:
             raise SynthesisRejected(exc.detail or exc.error or str(exc)) from exc
-        audio = AudioRef(
-            uri=resp["uri"],
-            duration_s=float(resp["duration_s"]),
-            sample_rate_hz=int(resp["sample_rate_hz"]),
-            voice_id=voice_id,
-        )
         if audio.duration_s > DURATION_LIMIT_S:
             raise DurationOverrun(audio, DURATION_LIMIT_S)
         return audio
@@ -152,9 +152,9 @@ class TranslateClient(_CachedClient):
             beam=BEAM,
             temperature=TEMPERATURE,
         )
-        resp = self._call(self._backend.translate, payload)
-        out = resp["text"]
-        if not isinstance(out, str) or not out.strip():
+        out = self._call(self._backend.translate, payload,
+                         lambda reply: json_field(reply, "text", json_string))
+        if not out.strip():
             raise EmptyTranslation(f"{direction}: backend returned empty text")
         return Hypothesis(mode=mode, text=out)
 
@@ -167,8 +167,11 @@ class ScoreClient(_CachedClient):
         if not source or not hypothesis or not reference:
             raise ValueError("score() requires non-empty source/hypothesis/reference")
         payload = {"source": source, "hypothesis": hypothesis, "reference": reference}
-        resp = self._call(self._backend.score, payload)
-        value = resp["score"]
-        if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
-            raise ScoreOutOfRange(value)
-        return float(value)
+        return self._call(self._backend.score, payload, _unit_score)
+
+
+def _unit_score(reply: dict) -> float:
+    value = reply.get("score")
+    if type(value) not in (int, float) or not 0.0 <= value <= 1.0:  # NaN fails too
+        raise ScoreOutOfRange(value)
+    return json_number(value)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .atomic import NOT_OBJECT, read_jsonl, write_atomic, write_json, write_jsonl
+from .atomic import NOT_OBJECT, json_fields, read_jsonl, write_atomic, write_json, write_jsonl
 from .backends.clients import EndpointConfig
 from .backends.mock import LookupTranslator
 from .corpus import (
@@ -56,7 +56,6 @@ from .evolution import (
     run_refinement,
 )
 from .evolution.loop import run_loop
-from .evolution.types import json_fields, json_integer, json_number
 from .metrics.aggregate import (
     DirectionScore,
     aggregate_by_resource,
@@ -180,10 +179,16 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "voices", None):
         cfg = replace(cfg, voices=tuple(v for v in args.voices.split(",") if v))
     if getattr(args, "mock_schedule", None):
+        if not cfg.mock:
+            raise UsageError("--mock-schedule takes effect only with --mock")
         try:
             schedule = tuple(float(x) for x in args.mock_schedule.split(","))
         except ValueError as exc:
             raise UsageError(f"bad --mock-schedule: {exc}") from exc
+        # NaN fails the comparison too
+        bad = [x for x in schedule if not 0.0 <= x <= 1.0]
+        if bad:
+            raise UsageError(f"bad --mock-schedule: {bad[0]} is not a score in [0, 1]")
         cfg = replace(cfg, mock_schedule=schedule)
 
     for flag, name in _EVOLUTION_FLAGS.items():
@@ -254,10 +259,6 @@ def fmt1(value: float, signed: bool = False) -> str:
     return f"{rounded:+.1f}" if signed else f"{rounded:.1f}"
 
 
-def _direction_str(direction: Tuple[str, str]) -> str:
-    return f"{direction[0]}-{direction[1]}"
-
-
 def _ws_name(path: Path, ws: Path) -> str:
     """How a report names an output file: bare if it sits in the workspace."""
     return str(path.name if path.parent == ws else path)
@@ -281,21 +282,13 @@ def _direction_report(command: str, rows: Sequence[DirectionScore]) -> dict:
     """Print the per-direction table with its Avg row; return the payload."""
     print("direction    spBLEU / COMET")
     for row in rows:
-        name = _direction_str(row.direction)
+        name = "-".join(row.direction)
         print(f"{name:<12} {fmt1(row.spbleu)} / {fmt1(row.comet)}")
     avg_sp, avg_comet = average_directions(rows)
     print(f"{'Avg':<12} {avg_sp:.1f} / {avg_comet:.1f}")
     return {
         "command": command,
-        "rows": [
-            {
-                "direction": list(r.direction),
-                "spbleu": r.spbleu,
-                "comet": r.comet,
-                "n_samples": r.n_samples,
-            }
-            for r in rows
-        ],
+        "rows": [{**vars(r), "direction": list(r.direction)} for r in rows],
         "avg": {"spbleu": avg_sp, "comet": avg_comet},
     }
 
@@ -331,13 +324,6 @@ def _load_hypotheses(path: str, samples: Sequence[Sample]) -> Dict[str, str]:
     return hyps
 
 
-def _language_pair(value) -> Tuple[str, str]:
-    if not (isinstance(value, list) and len(value) == 2
-            and all(isinstance(code, str) for code in value)):
-        raise TypeError(f"direction must be a [src, tgt] pair, got {value!r}")
-    return tuple(value)
-
-
 def _direction_rows(args: argparse.Namespace) -> List[DirectionScore]:
     """The --direction-scores rows that --direction selects."""
     path = args.direction_scores
@@ -349,16 +335,9 @@ def _direction_rows(args: argparse.Namespace) -> List[DirectionScore]:
     except json.JSONDecodeError as exc:
         raise UsageError(f"direction scores file is not valid JSON: {exc}") from exc
     try:
-        rows = [
-            DirectionScore(
-                direction=_language_pair(obj["direction"]),
-                spbleu=json_number(obj["spbleu"]),
-                comet=json_number(obj["comet"]),
-                n_samples=json_integer(obj.get("n_samples", 1)),
-            )
-            for obj in (raw["rows"] if isinstance(raw, dict) else raw)
-        ]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        rows = [DirectionScore(**json_fields(obj, DirectionScore))
+                for obj in (raw["rows"] if isinstance(raw, dict) else raw)]
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(
             f"malformed direction scores in {path}: {type(exc).__name__}: {exc}"
         ) from exc

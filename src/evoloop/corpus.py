@@ -18,12 +18,18 @@ from __future__ import annotations
 import enum
 import hashlib
 import logging
-import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
-from .atomic import canonical_payload, read_jsonl, write_jsonl
+from .atomic import (
+    canonical_payload,
+    json_expect,
+    json_field,
+    json_fields,
+    read_jsonl,
+    write_jsonl,
+)
 from .errors import (
     EmptyField,
     IdMismatch,
@@ -33,8 +39,6 @@ from .errors import (
 )
 
 logger = logging.getLogger(__name__)
-
-_CODE_RE = re.compile(r"^[a-z]{3}$")
 
 
 class ResourceLevel(str, enum.Enum):
@@ -85,10 +89,8 @@ def resource_level(code: str) -> ResourceLevel:
 
 
 def _require_known(code: str, line_no: int | None = None) -> None:
-    if not isinstance(code, str) or not _CODE_RE.match(code or ""):
+    if not isinstance(code, str) or code not in _TAXONOMY:
         raise UnknownLanguage(str(code), line_no)
-    if code not in _TAXONOMY:
-        raise UnknownLanguage(code, line_no)
 
 
 @dataclass(frozen=True)
@@ -107,21 +109,13 @@ class AudioRef:
             raise ValueError(f"bad sample rate: {self.sample_rate_hz}")
 
     def to_json(self) -> dict:
-        return {
-            "uri": self.uri,
-            "duration_s": self.duration_s,
-            "sample_rate_hz": self.sample_rate_hz,
-            "voice_id": self.voice_id,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_json(cls, obj: dict) -> "AudioRef":
-        return cls(
-            uri=obj["uri"],
-            duration_s=float(obj["duration_s"]),
-            sample_rate_hz=int(obj["sample_rate_hz"]),
-            voice_id=obj.get("voice_id", ""),
-        )
+        """Parse an audio object; a value of another JSON type is refused
+        with a ValueError that names its key."""
+        return cls(**json_fields(obj, cls))
 
 
 def hash_sample(text: str, reference: str, src_lang: str, tgt_lang: str) -> str:
@@ -221,20 +215,17 @@ def sample_from_json(obj: dict, line_no: int | None = None, strict: bool = False
         raise MalformedLine(line_no or 0, "src_lang equals tgt_lang")
 
     try:
-        authentic = (
-            AudioRef.from_json(obj["authentic_audio"])
-            if obj.get("authentic_audio")
-            else None
-        )
-        synthetic = (
-            AudioRef.from_json(obj["synthetic_audio"])
-            if obj.get("synthetic_audio")
-            else None
-        )
+        authentic, synthetic = (
+            None if obj.get(key) is None else json_field(obj, key, AudioRef.from_json)
+            for key in ("authentic_audio", "synthetic_audio"))
         if synthetic is not None and not synthetic.voice_id:
             raise ValueError("synthetic audio requires a voice_id")
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise MalformedLine(line_no or 0, f"bad audio object: {exc}") from exc
+    try:
+        degraded = json_expect(obj.get("degraded", False), (bool,), "a boolean")
+    except TypeError as exc:
+        raise MalformedLine(line_no or 0, f"degraded: {exc}") from None
 
     computed = hash_sample(obj["text"], obj["reference"], src, tgt)
     stored = obj.get("id")
@@ -250,7 +241,7 @@ def sample_from_json(obj: dict, line_no: int | None = None, strict: bool = False
         reference=obj["reference"],
         authentic_audio=authentic,
         synthetic_audio=synthetic,
-        degraded=bool(obj.get("degraded", False)),
+        degraded=degraded,
         annotations=annotations,
     )
 

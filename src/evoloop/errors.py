@@ -140,9 +140,9 @@ class EmptyTranslation(BackendError):
 
 
 class ScoreOutOfRange(BackendError):
-    def __init__(self, value: float):
+    def __init__(self, value):
         self.value = value
-        super().__init__(f"scorer returned {value!r}, outside [0, 1]")
+        super().__init__(f"score: expected a number in [0, 1], got {value!r}")
 
 
 class FailureBudgetExceeded(BackendError):

@@ -26,9 +26,9 @@ import os
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Optional
 
-from ..atomic import canonical_payload, write_json
+from ..atomic import canonical_payload, json_integer, json_number, write_json
 from ..errors import ResumeStateCorrupt
-from .types import RoundState, json_integer, json_number
+from .types import RoundState
 
 __all__ = ["Journal", "PHASE_FILES", "load_round_state", "round_file"]
 
@@ -172,7 +172,7 @@ class Journal:
     def _field(self, key: str, check, default=None):
         try:
             return check(self._ledger.get(key, default))
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ResumeStateCorrupt(f"{LEDGER_NAME}: {key}: {exc}") from exc
 
     def baseline(self) -> float:

@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import MISSING, dataclass, field, fields
-from typing import AbstractSet, Dict, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
+from ..atomic import json_fields, json_number
 from ..corpus import Sample
 from ..errors import ResumeStateCorrupt
 
 __all__ = [
-    "json_fields",
-    "json_integer",
-    "json_number",
     "Label",
     "SpeechUsed",
     "SpeechSource",
@@ -59,63 +57,6 @@ def _check_unit(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0,1], got {value}")
     return value
-
-
-# --- JSON type checks -----------------------------------------------------------
-# A value decoded from JSON must have one of its field's exact types: an
-# integer is an int, never a bool; a number is an int or a float, never a
-# bool or a string. A TypeError says what was expected.
-
-def _expect(value, kinds, name: str):
-    if type(value) not in kinds:
-        raise TypeError(f"expected {name}, got {value!r}")
-    return value
-
-
-def json_number(value) -> float:
-    return float(_expect(value, (int, float), "a number"))
-
-
-def json_integer(value) -> int:
-    return _expect(value, (int,), "an integer")
-
-
-# by a field's annotation: the exact types `json.loads` may give for it,
-# their name in errors, and the conversion to the field's value, if any
-_JSON_TYPES = {
-    "int": ((int,), "an integer", None),
-    "float": ((int, float), "a number", float),
-    "str": ((str,), "a string", None),
-    "Dict[str, float]": ((dict,), "an object",
-                         lambda value: {key: json_number(v) for key, v in value.items()}),
-    "Tuple[str, ...]": ((list,), "a list",
-                        lambda value: tuple(_expect(v, (str,), "a string") for v in value)),
-    "RoundStatus": ((str,), "a string", RoundStatus),
-    "SpeechSource": ((str,), "a string", SpeechSource),
-}
-
-
-def json_fields(obj: object, cls, required: AbstractSet[str] = frozenset(),
-                prefix: str = "") -> Dict[str, object]:
-    """The fields of dataclass `cls` that JSON object `obj` holds, each
-    checked against the JSON types its annotation names. A field with no
-    default, or one named in `required`, must be present. A ValueError
-    names the key that is missing or mistyped, after `prefix`."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {obj!r}")
-    values = {}
-    for f in fields(cls):
-        if f.name not in obj:
-            if f.name in required or f.default is f.default_factory is MISSING:
-                raise ValueError(f"lacks {prefix + f.name!r}")
-            continue
-        kinds, kind_name, convert = _JSON_TYPES[f.type]
-        try:
-            value = _expect(obj[f.name], kinds, kind_name)
-            values[f.name] = value if convert is None else convert(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{prefix}{f.name}: {exc}") from None
-    return values
 
 
 @dataclass(frozen=True)
@@ -232,14 +173,7 @@ class EvolutionConfig:
         object.__setattr__(self, "speech_source", SpeechSource(self.speech_source))
 
     def to_json(self) -> Dict[str, object]:
-        return {
-            "epsilon": self.epsilon,
-            "patience": self.patience,
-            "max_rounds": self.max_rounds,
-            "seed": self.seed,
-            "speech_source": self.speech_source.value,
-            "fixed_eval_voice": self.fixed_eval_voice,
-        }
+        return {**vars(self), "speech_source": self.speech_source.value}
 
     @classmethod
     def from_json(cls, obj: object, prefix: str = "") -> "EvolutionConfig":

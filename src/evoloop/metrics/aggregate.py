@@ -20,7 +20,7 @@ class DirectionScore:
     direction: tuple[str, str]
     spbleu: float
     comet: float
-    n_samples: int
+    n_samples: int = 1
 
     def __post_init__(self):
         if self.n_samples < 1:

@@ -550,6 +550,131 @@ class TestRetryIntegration:
         assert exc.value.attempts == 3
 
 
+class Rewritten:
+    """A mock backend whose every reply gets `changes` merged over it."""
+
+    def __init__(self, inner, **changes):
+        self.inner = inner
+        self.changes = changes
+
+    def __getattr__(self, name):
+        method = getattr(self.inner, name)
+        return lambda payload: {**method(payload), **self.changes}
+
+
+def synthesize(backend, cache):
+    return TtsClient(backend, cache, sleep=no_sleep).synthesize("some text", "v1")
+
+
+def translate(backend, cache):
+    return TranslateClient(backend, cache, sleep=no_sleep).translate(
+        "mt", "two words", None, ("eng", "deu"))
+
+
+def score(backend, cache):
+    return ScoreClient(backend, cache, sleep=no_sleep).score("s", "same words", "same words")
+
+
+class TestReplyJsonTypes:
+    """A reply value of another JSON type is refused, never coerced, and
+    the error names its key."""
+
+    @pytest.mark.parametrize("call, inner, changes, message", [
+        (synthesize, MockTts, {"duration_s": True}, "duration_s: expected a number, got True"),
+        (synthesize, MockTts, {"duration_s": "1.5"}, "duration_s: expected a number, got '1.5'"),
+        (synthesize, MockTts, {"duration_s": float("nan")},
+         "duration_s: expected a finite number, got nan"),
+        (synthesize, MockTts, {"duration_s": float("inf")},
+         "duration_s: expected a finite number, got inf"),
+        (synthesize, MockTts, {"sample_rate_hz": True},
+         "sample_rate_hz: expected an integer, got True"),
+        (synthesize, MockTts, {"sample_rate_hz": "16000"},
+         "sample_rate_hz: expected an integer, got '16000'"),
+        (synthesize, MockTts, {"sample_rate_hz": 2.5},
+         "sample_rate_hz: expected an integer, got 2.5"),
+        (synthesize, MockTts, {"sample_rate_hz": 16000.9},
+         "sample_rate_hz: expected an integer, got 16000.9"),
+        (synthesize, MockTts, {"uri": 7}, "uri: expected a string, got 7"),
+        (translate, ContrastTranslator, {"text": 5}, "text: expected a string, got 5"),
+        (translate, ContrastTranslator, {"text": True}, "text: expected a string, got True"),
+        (translate, ContrastTranslator, {"text": None}, "text: expected a string, got None"),
+        (score, MockScorer, {"score": True}, "score: expected a number in [0, 1], got True"),
+        (score, MockScorer, {"score": "0.5"}, "score: expected a number in [0, 1], got '0.5'"),
+        (score, MockScorer, {"score": float("nan")},
+         "score: expected a number in [0, 1], got nan"),
+        (score, MockScorer, {"score": float("inf")},
+         "score: expected a number in [0, 1], got inf"),
+        (score, MockScorer, {"score": None}, "score: expected a number in [0, 1], got None"),
+    ], ids=["tts-duration-bool", "tts-duration-string", "tts-duration-NaN",
+            "tts-duration-Infinity", "tts-rate-bool", "tts-rate-string", "tts-rate-2.5",
+            "tts-rate-fraction", "tts-uri-int", "translate-text-int", "translate-text-bool",
+            "translate-text-null", "score-bool", "score-string", "score-NaN",
+            "score-Infinity", "score-null"])
+    def test_mistyped_reply_is_refused_by_key(self, tmp_path, call, inner, changes, message):
+        backend = Rewritten(inner(), **changes)
+        with pytest.raises((ValueError, ScoreOutOfRange)) as err:
+            call(backend, ContentCache(tmp_path / "cache"))
+        assert str(err.value) == message
+        # nothing refused is cached
+        assert (tmp_path / "cache" / "responses.log").read_bytes() == b""
+
+    @pytest.mark.parametrize("call, inner, field", [
+        (synthesize, MockTts, "uri"), (translate, ContrastTranslator, "text"),
+    ])
+    def test_reply_without_a_key_is_refused_by_key(self, tmp_path, call, inner, field):
+        class Dropping:
+            def __getattr__(self, name):
+                method = getattr(inner(), name)
+                return lambda payload: {k: v for k, v in method(payload).items() if k != field}
+
+        with pytest.raises(ValueError, match=f"^lacks '{field}'$"):
+            call(Dropping(), ContentCache(tmp_path / "cache"))
+
+    def test_integer_duration_reads_as_a_float(self, cache):
+        audio = synthesize(Rewritten(MockTts(), duration_s=2), cache)
+        assert audio == AudioRef(audio.uri, 2.0, 16000, "v1")
+        assert type(audio.duration_s) is float
+
+
+class SpyScorer:
+    """Answers `{"score": true}` first and 0.5 after; records each request."""
+
+    def __init__(self):
+        self.sent = []
+
+    def score(self, payload):
+        self.sent.append(payload)
+        return {"score": True if len(self.sent) == 1 else 0.5}
+
+
+class TestRefusedReplyIsNotCached:
+    def test_refused_reply_is_sent_for_again(self, tmp_path):
+        spy = SpyScorer()
+        cache = ContentCache(tmp_path / "cache")
+        client = ScoreClient(spy, cache, sleep=no_sleep)
+        with pytest.raises(ScoreOutOfRange):
+            client.score("s", "h", "r")
+        assert (tmp_path / "cache" / "responses.log").read_bytes() == b""
+        assert client.score("s", "h", "r") == 0.5
+        assert len(spy.sent) == 2
+        assert client.score("s", "h", "r") == 0.5  # a cache hit
+        assert len(spy.sent) == 2
+        cache.close()
+        assert [text for _, text in stored_records(tmp_path / "cache")] == ['{"score":0.5}']
+
+    def test_cached_reply_is_checked_too(self, tmp_path):
+        # a log written before replies were checked may hold one now refused
+        spy = SpyScorer()
+        cache = ContentCache(tmp_path / "cache")
+        client = ScoreClient(spy, cache, sleep=no_sleep)
+        payload = {"source": "s", "hypothesis": "h", "reference": "r"}
+        cache.put(entry_key("score", "v0", payload), {"score": True})
+        for _ in range(2):
+            with pytest.raises(ScoreOutOfRange):
+                client.score("s", "h", "r")
+        assert spy.sent == []
+
+
 class TestScheduledScorer:
     def test_follows_version_schedule(self, cache):
         version = {"n": 0}

@@ -351,6 +351,11 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys, config, key):
     ({"endpoints": {"translate": {"backoff_base_ms": "100"}}},
      "endpoints.translate.backoff_base_ms: expected an integer, got '100'"),
     ({"endpoints": {"tts": {"base_url": 5}}}, "endpoints.tts.base_url: expected a string, got 5"),
+    # json.dumps writes these as the tokens NaN and Infinity, which JSON lacks
+    ({"evolution": {"epsilon": float("nan")}},
+     "evolution.epsilon: expected a finite number, got nan"),
+    ({"endpoints": {"tts": {"timeout_s": float("inf")}}},
+     "endpoints.tts.timeout_s: expected a finite number, got inf"),
 ])
 def test_bad_endpoints_or_voices_config_is_usage_error(corpus_dir, capsys, config, message):
     conf = corpus_dir / "conf.json"
@@ -420,10 +425,27 @@ def test_invalid_epsilon_flag_is_usage_error(corpus_dir):
 
 
 def test_endpoints_required_without_mock(corpus_dir, capsys):
-    argv = [a for a in loop_argv(corpus_dir) if a != "--mock"]
+    # --mock-schedule goes too: without --mock it is refused on its own
+    argv = [a for a in loop_argv(corpus_dir) if a not in ("--mock", "--mock-schedule", SCHEDULE)]
     code, err = run_cli_err(argv, capsys)
     assert code == 2
     assert "endpoints not configured" in err
+
+
+@pytest.mark.parametrize("schedule", ["0.5,1.7", "0.5,nan", "-0.1", "inf", "0.5,x", "0.5,,0.6"])
+def test_mock_schedule_outside_unit_interval_is_usage_error(corpus_dir, capsys, schedule):
+    argv = [schedule if a == SCHEDULE else a for a in loop_argv(corpus_dir)]
+    code, err = run_cli_err(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: bad --mock-schedule: ")
+    assert not (corpus_dir / "ws" / "journal.json").exists()
+
+
+def test_mock_schedule_without_mock_is_usage_error(corpus_dir, capsys):
+    argv = [a for a in loop_argv(corpus_dir) if a != "--mock"]
+    code, err = run_cli_err(argv, capsys)
+    assert code == 2
+    assert err == "error: --mock-schedule takes effect only with --mock\n"
 
 
 def hyp_rows(rows, src="eng", tgt="khm"):
@@ -612,6 +634,42 @@ def test_malformed_direction_scores_is_usage_error(tmp_path, capsys, command, co
         command + ["--direction-scores", path, "--workspace", tmp_path / "ws"], capsys)
     assert code == 2
     assert err.startswith(f"error: malformed direction scores in {path}: ")
+
+
+@pytest.mark.parametrize("command", [["evaluate"], ["report", "resource"],
+                                     ["report", "directions"]], ids=" ".join)
+@pytest.mark.parametrize("row, message", [
+    ('"spbleu": true, "comet": 86.23', "spbleu: expected a number, got True"),
+    ('"spbleu": 25.04, "comet": "86.2"', "comet: expected a number, got '86.2'"),
+    ('"spbleu": 25.04, "comet": 86.23, "n_samples": "3"',
+     "n_samples: expected an integer, got '3'"),
+    ('"spbleu": 25.04, "comet": 86.23, "n_samples": 2.5',
+     "n_samples: expected an integer, got 2.5"),
+    ('"spbleu": 25.04, "comet": 86.23, "n_samples": true',
+     "n_samples: expected an integer, got True"),
+    ('"spbleu": NaN, "comet": 86.23', "spbleu: expected a finite number, got nan"),
+    ('"spbleu": 25.04, "comet": Infinity', "comet: expected a finite number, got inf"),
+    ('"spbleu": -Infinity, "comet": 86.23', "spbleu: expected a finite number, got -inf"),
+], ids=["spbleu-bool", "comet-string", "n-samples-string", "n-samples-2.5", "n-samples-bool",
+        "spbleu-NaN", "comet-Infinity", "spbleu-minus-Infinity"])
+def test_mistyped_direction_score_is_refused_by_key(tmp_path, capsys, command, row, message):
+    path = tmp_path / "bad.json"
+    path.write_text('{"rows": [{"direction": ["eng", "khm"], ' + row + "}]}")
+    code, err = run_cli_err(
+        command + ["--direction-scores", path, "--workspace", tmp_path / "ws"], capsys)
+    assert code == 2
+    assert err == f"error: malformed direction scores in {path}: ValueError: {message}\n"
+
+
+def test_direction_score_rows_count_one_sample_by_default(tmp_path, capsys):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps([{"direction": ["eng", "khm"], "spbleu": 25, "comet": 86.23}]))
+    code, _ = run_cli(["report", "directions", "--direction-scores", path,
+                       "--report", tmp_path / "r.json"], capsys)
+    assert code == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["rows"] == [{"direction": ["eng", "khm"], "spbleu": 25.0, "comet": 86.23,
+                               "n_samples": 1}]
 
 
 def test_evaluate_by_resource_order(dirscores, tmp_path, capsys):
@@ -978,6 +1036,11 @@ NOT_A_NUMBER = "journal.json: baseline: expected a number, got"
      "eval_by_direction: expected a number, got 'x'"),
     (LEDGER, lambda ledger: {**ledger, "baseline": "x"}, f"{NOT_A_NUMBER} 'x'"),
     (LEDGER, lambda ledger: {**ledger, "baseline": True}, f"{NOT_A_NUMBER} True"),
+    # json.dumps writes NaN and Infinity as tokens that JSON lacks
+    (LEDGER, lambda ledger: {**ledger, "baseline": float("nan")},
+     "journal.json: baseline: expected a finite number, got nan"),
+    (STATE, lambda state: {**state, "delta_vs_best": float("-inf")},
+     "delta_vs_best: expected a finite number, got -inf"),
     # a ledger whose rounds, phase entries or file maps are not objects, or
     # whose model version is not an integer, names the key
     (LEDGER, lambda ledger: {**ledger, "rounds": []},
@@ -999,7 +1062,8 @@ NOT_A_NUMBER = "journal.json: baseline: expected a number, got"
         "ledger-baseline-null", "state-list", "state-missing-key",
         "state-unparsable", "state-score-string", "state-score-bool", "state-status-number",
         "state-directions-number", "state-direction-string", "ledger-baseline-string",
-        "ledger-baseline-bool", "ledger-rounds-list", "ledger-round-list", "ledger-phase-list",
+        "ledger-baseline-bool", "ledger-baseline-NaN", "state-delta-minus-Infinity",
+        "ledger-rounds-list", "ledger-round-list", "ledger-phase-list",
         "ledger-files-list", "ledger-digest-number", "ledger-model-version-bool",
         "ledger-model-version-string"])
 def test_report_rounds_malformed_workspace_files(journaled_round, tmp_path, capsys, path,

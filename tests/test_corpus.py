@@ -294,6 +294,91 @@ class TestLoadManifest:
             load_manifest(p)
 
 
+AUDIO = {"uri": "audio/a.wav", "duration_s": 1.5, "sample_rate_hz": 16000, "voice_id": "v01"}
+
+
+class TestManifestJsonTypes:
+    """A manifest value of another JSON type is refused, never coerced,
+    and the error names its key."""
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    @pytest.mark.parametrize("overrides, message", [
+        ({"authentic_audio": {**AUDIO, "duration_s": True}},
+         "bad audio object: authentic_audio: duration_s: expected a number, got True"),
+        ({"authentic_audio": {**AUDIO, "duration_s": "1.5"}},
+         "bad audio object: authentic_audio: duration_s: expected a number, got '1.5'"),
+        ({"synthetic_audio": {**AUDIO, "sample_rate_hz": True}},
+         "bad audio object: synthetic_audio: sample_rate_hz: expected an integer, got True"),
+        ({"synthetic_audio": {**AUDIO, "sample_rate_hz": "16000"}},
+         "bad audio object: synthetic_audio: sample_rate_hz: expected an integer, got '16000'"),
+        ({"synthetic_audio": {**AUDIO, "sample_rate_hz": 2.5}},
+         "bad audio object: synthetic_audio: sample_rate_hz: expected an integer, got 2.5"),
+        ({"synthetic_audio": {**AUDIO, "uri": 7}},
+         "bad audio object: synthetic_audio: uri: expected a string, got 7"),
+        ({"synthetic_audio": {**AUDIO, "voice_id": 5}},
+         "bad audio object: synthetic_audio: voice_id: expected a string, got 5"),
+        ({"authentic_audio": {"duration_s": 1.5, "sample_rate_hz": 16000}},
+         "bad audio object: authentic_audio: lacks 'uri'"),
+        ({"authentic_audio": "audio/a.wav"},
+         "bad audio object: authentic_audio: expected a JSON object, got 'audio/a.wav'"),
+        ({"authentic_audio": {}}, "bad audio object: authentic_audio: lacks 'uri'"),
+        ({"synthetic_audio": False},
+         "bad audio object: synthetic_audio: expected a JSON object, got False"),
+        ({"authentic_audio": {**AUDIO, "duration_s": float("nan")}},
+         "bad audio object: authentic_audio: duration_s: expected a finite number, got nan"),
+        ({"synthetic_audio": {**AUDIO, "duration_s": float("inf")}},
+         "bad audio object: synthetic_audio: duration_s: expected a finite number, got inf"),
+        ({"authentic_audio": {**AUDIO, "duration_s": float("-inf")}},
+         "bad audio object: authentic_audio: duration_s: expected a finite number, got -inf"),
+        ({"degraded": "no"}, "degraded: expected a boolean, got 'no'"),
+        ({"degraded": 1}, "degraded: expected a boolean, got 1"),
+        ({"degraded": None}, "degraded: expected a boolean, got None"),
+    ], ids=["duration-bool", "duration-string", "rate-bool", "rate-string", "rate-2.5",
+            "uri-int", "voice-int", "uri-missing", "audio-a-string", "audio-empty",
+            "audio-false", "duration-NaN",
+            "duration-Infinity", "duration-minus-Infinity", "degraded-string",
+            "degraded-int", "degraded-null"])
+    def test_mistyped_value_is_refused_by_key(self, tmp_path, strict, overrides, message):
+        p = tmp_path / "m.jsonl"
+        _write_lines(p, [_line(), _line(text="Two.", **overrides)])
+        with pytest.raises(MalformedLine) as err:
+            load_manifest(p, strict=strict)
+        assert str(err.value) == f"line 2: malformed JSON: {message}"
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_tokens_are_refused(self, tmp_path, token):
+        # json.loads reads these tokens, though JSON has no such numbers
+        p = tmp_path / "m.jsonl"
+        line = _line(authentic_audio=AUDIO).replace('"duration_s": 1.5', f'"duration_s": {token}')
+        assert token in line
+        _write_lines(p, [line])
+        with pytest.raises(MalformedLine, match="authentic_audio: duration_s: expected a finite"):
+            load_manifest(p)
+
+    def test_row_of_mistyped_values_is_refused_before_it_is_saved(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        audio = {"uri": 7, "duration_s": True, "sample_rate_hz": "16000", "voice_id": 5}
+        _write_lines(p, [_line(), _line(synthetic_audio=audio, degraded="no")])
+        for strict in (False, True):
+            with pytest.raises(MalformedLine, match=re.escape(
+                    "line 2: malformed JSON: bad audio object: synthetic_audio: uri: "
+                    "expected a string, got 7")):
+                load_manifest(p, strict=strict)
+        _write_lines(p, [_line(), _line(degraded="no")])
+        with pytest.raises(MalformedLine, match="line 2: .*degraded: expected a boolean"):
+            load_manifest(p, strict=True)
+
+    def test_well_typed_values_load_as_written(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        _write_lines(p, [_line(synthetic_audio={**AUDIO, "duration_s": 2}, degraded=True,
+                               authentic_audio=None)])
+        sample = load_manifest(p, strict=True)[0]
+        assert sample.synthetic_audio == AudioRef("audio/a.wav", 2.0, 16000, "v01")
+        assert type(sample.synthetic_audio.duration_s) is float
+        assert sample.authentic_audio is None  # null stands for no clip
+        assert sample.degraded is True
+
+
 class TestRoundTrip:
     def test_save_then_load_preserves_everything(self, tmp_path):
         rng = random.Random(7)

@@ -54,6 +54,16 @@ def test_https_transport_loads_ssl():
     assert "http.client" not in added
 
 
+def test_atomic_loads_no_other_evoloop_module():
+    # every layer reads and writes JSON through atomic, so it may not import one
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = "import sys, evoloop.atomic; print(sorted(m for m in sys.modules if 'evoloop' in m))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.splitlines()[-1] == "['evoloop', 'evoloop.atomic']"
+
+
 DEFERRED = ("socket", "subprocess", "csv", "concurrent.futures")
 
 

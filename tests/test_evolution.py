@@ -37,6 +37,7 @@ from evoloop.evolution import (
     Backends,
     EvolutionConfig,
     Label,
+    ModelVersion,
     RoundState,
     RoundStatus,
     ScoredSample,
@@ -53,7 +54,7 @@ from evoloop.evolution import (
 )
 from evoloop.evolution import loop as loop_mod
 from evoloop.evolution.journal import Journal
-from evoloop.mockstack import build_mock_stack
+from evoloop.mockstack import build_mock_stack, wire_stack
 
 from helpers import EchoTranslator
 
@@ -578,6 +579,31 @@ class TestFailuresWithinBudget:
         score = ScoreClient(scorer, ContentCache(tmp_path / "c2"))
         with pytest.raises(FailureBudgetExceeded):
             run_refinement(acquired, EvolutionConfig(), translate, score, max_in_flight=WIDTH)
+
+    def test_nan_tts_duration_fails_its_sample_and_reaches_no_file(self, tmp_path, caplog):
+        train = make_samples(20)
+        failed = train[11]
+
+        class NanTts(MockTts):
+            def tts(self, payload):
+                reply = super().tts(payload)
+                if payload["text"] != failed.text:
+                    return reply
+                return {**reply, "duration_s": float("nan")}
+
+        ws = tmp_path / "ws"
+        with wire_stack(str(ws), ModelVersion(0), NanTts(), ContrastTranslator(), MockScorer(),
+                        max_in_flight=WIDTH) as stack:
+            config = EvolutionConfig(max_rounds=1, fixed_eval_voice="narrator")
+            run_loop(train, make_samples(4, tgt="lao"), POOL, config, stack.backends, str(ws),
+                     version=stack.version, max_in_flight=stack.max_in_flight)
+        acquired = load_manifest(ws / "rounds" / "1" / "acquisition.jsonl")
+        assert [s.id for s in acquired] == [s.id for s in train if s is not failed]
+        assert (f"synthesis failed for {failed.id}: duration_s: expected a finite number, got nan"
+                in caplog.text)
+        files = [p for p in ws.rglob("*") if p.is_file()]
+        assert ws / "cache" / "responses.log" in files
+        assert [p for p in files if b"NaN" in p.read_bytes()] == []
 
     def _eval_samples(self):
         samples = []
