@@ -145,6 +145,8 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         voices = raw.get("voices", list(cfg.voices))
         if not isinstance(voices, list) or not all(isinstance(v, str) for v in voices):
             raise UsageError("voices config must be a JSON list of strings")
+        if "" in voices:
+            raise UsageError("voices config must not hold an empty voice id")
         try:
             endpoints = {
                 name: EndpointConfig(**json_fields(_config_section(spec, "endpoint"),

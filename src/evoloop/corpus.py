@@ -4,13 +4,14 @@ Manifests are UTF-8 JSONL, one sample object per line:
 
     required: src_lang, tgt_lang, text, reference
     optional: id, authentic_audio, synthetic_audio,
-              degraded, s1, s2, label, speech_used   (round annotations)
+              degraded, s1, s2, label, speech_used   (refinement verdict)
 
 Audio objects carry {uri, duration_s, sample_rate_hz, voice_id}; whether a
 clip is authentic or synthetic is implied by the field it sits in, and a
-synthetic clip must name its voice_id. Text bytes are preserved exactly as
-stored (no Unicode normalization) so metric scores stay reproducible
-against external tools.
+synthetic clip must name its voice_id. The four verdict keys come all
+together or not at all. Text bytes are preserved exactly as stored (no
+Unicode normalization) so metric scores stay reproducible against
+external tools.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .atomic import (
     json_expect,
     json_field,
     json_fields,
+    json_string,
     read_jsonl,
     write_jsonl,
 )
@@ -118,6 +120,58 @@ class AudioRef:
         return cls(**json_fields(obj, cls))
 
 
+class Label(str, enum.Enum):
+    POSITIVE = "Positive"
+    NEGATIVE = "Negative"
+
+
+class SpeechUsed(str, enum.Enum):
+    AUTHENTIC = "Authentic"
+    SYNTHETIC = "Synthetic"
+
+
+def label_for(s1: float, s2: float) -> Label:
+    """Positive only when speech strictly helps; ties are Negative."""
+    return Label.POSITIVE if s2 > s1 else Label.NEGATIVE
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of one refinement comparison.
+
+    s1 scores the text-only translation, s2 the speech-guided one, which
+    heard the `speech_used` clip; the label follows from the scores.
+    """
+
+    speech_used: SpeechUsed
+    s1: float
+    s2: float
+
+    def __post_init__(self) -> None:
+        for name, value in (("s1", self.s1), ("s2", self.s2)):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0,1], got {value}")
+
+    @property
+    def label(self) -> Label:
+        return label_for(self.s1, self.s2)
+
+    def to_json(self) -> dict:
+        return {"s1": self.s1, "s2": self.s2, "label": self.label.value,
+                "speech_used": self.speech_used.value}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Verdict":
+        """Parse the four verdict keys of a manifest row; the stored label
+        must be the one the scores give. A ValueError names the key."""
+        verdict = cls(**json_fields(obj, cls))
+        label = json_field(obj, "label", lambda value: Label(json_string(value)))
+        if label is not verdict.label:
+            raise ValueError(
+                f"label: {label.value} contradicts s1={verdict.s1}, s2={verdict.s2}")
+        return verdict
+
+
 def hash_sample(text: str, reference: str, src_lang: str, tgt_lang: str) -> str:
     """Stable content id: SHA-256 over the canonical JSON array
     [src_lang, tgt_lang, text, reference], serialized without whitespace."""
@@ -137,7 +191,7 @@ class Sample:
     authentic_audio: AudioRef | None = None
     synthetic_audio: AudioRef | None = None
     degraded: bool = False
-    annotations: dict = field(default_factory=dict, compare=False)
+    verdict: Verdict | None = field(default=None, compare=False)
 
     @property
     def direction(self) -> tuple[str, str]:
@@ -179,16 +233,17 @@ class Sample:
             obj["synthetic_audio"] = self.synthetic_audio.to_json()
         if self.degraded:
             obj["degraded"] = True
-        obj.update(self.annotations)
+        if self.verdict is not None:
+            obj.update(self.verdict.to_json())
         return obj
 
 
 _REQUIRED_FIELDS = ("src_lang", "tgt_lang", "text", "reference")
-_ANNOTATION_FIELDS = ("s1", "s2", "label", "speech_used")
+_VERDICT_FIELDS = ("s1", "s2", "label", "speech_used")
 _KNOWN_FIELDS = frozenset(
     _REQUIRED_FIELDS
     + ("id", "authentic_audio", "synthetic_audio", "degraded")
-    + _ANNOTATION_FIELDS
+    + _VERDICT_FIELDS
 )
 
 
@@ -226,13 +281,17 @@ def sample_from_json(obj: dict, line_no: int | None = None, strict: bool = False
         degraded = json_expect(obj.get("degraded", False), (bool,), "a boolean")
     except TypeError as exc:
         raise MalformedLine(line_no or 0, f"degraded: {exc}") from None
+    try:
+        verdict = (Verdict.from_json(obj) if any(key in obj for key in _VERDICT_FIELDS)
+                   else None)
+    except ValueError as exc:
+        raise MalformedLine(line_no or 0, f"bad verdict: {exc}") from None
 
     computed = hash_sample(obj["text"], obj["reference"], src, tgt)
     stored = obj.get("id")
     if stored is not None and stored != computed:
         raise IdMismatch(line_no or 0, stored, computed)
 
-    annotations = {k: obj[k] for k in _ANNOTATION_FIELDS if k in obj}
     return Sample(
         id=computed,
         src_lang=src,
@@ -242,7 +301,7 @@ def sample_from_json(obj: dict, line_no: int | None = None, strict: bool = False
         authentic_audio=authentic,
         synthetic_audio=synthetic,
         degraded=degraded,
-        annotations=annotations,
+        verdict=verdict,
     )
 
 

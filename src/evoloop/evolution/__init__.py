@@ -21,7 +21,6 @@ from .types import (
     ModelVersion,
     RoundState,
     RoundStatus,
-    ScoredSample,
     SpeechSource,
     SpeechUsed,
     label_for,
@@ -49,7 +48,6 @@ __all__ = [
     "ModelVersion",
     "RoundState",
     "RoundStatus",
-    "ScoredSample",
     "SpeechSource",
     "SpeechUsed",
     "label_for",

@@ -42,7 +42,6 @@ from .types import (
     ModelVersion,
     RoundState,
     RoundStatus,
-    ScoredSample,
 )
 
 log = logging.getLogger(__name__)
@@ -226,12 +225,11 @@ def run_loop(
                 acquired(), config, backends.translate, backends.score,
                 max_in_flight=max_in_flight,
             )
-            data = write_jsonl(scored_path, (s.to_row() for s in scored))
+            data = write_jsonl(scored_path, (s.to_json() for s in scored))
             return scored, {"scored.jsonl": data}, None
 
         def load_scored(contents):
-            rows = load_manifest(scored_path, strict=True, data=contents[scored_rel])
-            return [ScoredSample.from_row(s) for s in rows]
+            return load_manifest(scored_path, strict=True, data=contents[scored_rel])
 
         scored = step(k, journal_mod.REFINEMENT, load_scored, refine)
 
@@ -247,7 +245,7 @@ def run_loop(
 
         def evaluate_round():
             rows = scored()
-            n_positive = sum(1 for s in rows if s.label is Label.POSITIVE)
+            n_positive = sum(1 for s in rows if s.verdict.label is Label.POSITIVE)
             n_negative = len(rows) - n_positive
             eval_score, by_direction = evaluate()
             best = max([baseline] + [r.eval_score for r in history])

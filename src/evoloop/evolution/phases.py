@@ -11,19 +11,18 @@ import hashlib
 import logging
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import curriculum
 from ..atomic import write_json, write_jsonl
 from ..backends.batch import run_batch
-from ..corpus import AudioRef, Sample
+from ..corpus import AudioRef, Sample, Verdict
 from ..errors import DurationOverrun, EmptyEvalSet, EmptyInput, FailureBudgetExceeded, MissingAudio
 from .types import (
     EvolutionConfig,
     Label,
-    ScoredSample,
     SpeechSource,
     SpeechUsed,
 )
@@ -163,8 +162,9 @@ def run_refinement(
     translate,
     score,
     max_in_flight: int,
-) -> List[ScoredSample]:
-    """Score text-only vs speech-guided translation for each sample.
+) -> List[Sample]:
+    """Score text-only vs speech-guided translation for each sample, and
+    return the samples that carry their verdict.
 
     Degraded samples are skipped (their audio is unusable by contract)
     and logged. Everything else must carry audio per config.speech_source.
@@ -180,15 +180,15 @@ def run_refinement(
     if skipped:
         log.warning("refinement skipped %d degraded sample(s)", skipped)
 
-    def make_task(sample: Sample) -> Callable[[], ScoredSample]:
+    def make_task(sample: Sample) -> Callable[[], Sample]:
         audio, used = pick_audio(sample, config.speech_source)
 
-        def work() -> ScoredSample:
+        def work() -> Sample:
             text_only = translate.translate("mt", sample.text, None, sample.direction)
             s1 = score.score(sample.text, text_only.text, sample.reference)
             guided = translate.translate("smt", sample.text, audio, sample.direction)
             s2 = score.score(sample.text, guided.text, sample.reference)
-            return ScoredSample(sample, used, s1, s2)
+            return replace(sample, verdict=Verdict(used, s1, s2))
 
         return work
 
@@ -207,7 +207,7 @@ class PartitionResult:
 
 
 def partition_and_emit(
-    scored: Sequence[ScoredSample],
+    scored: Sequence[Sample],
     round_index: int,
     out_dir: str,
     workspace: str,
@@ -226,12 +226,12 @@ def partition_and_emit(
     if not scored:
         raise EmptyInput("cannot partition an empty scored list")
     out = Path(out_dir)
-    positives = [s for s in scored if s.label is Label.POSITIVE]
-    negatives = [s for s in scored if s.label is Label.NEGATIVE]
+    positives = [s for s in scored if s.verdict.label is Label.POSITIVE]
+    negatives = [s for s in scored if s.verdict.label is Label.NEGATIVE]
 
     written = {}
     for name, rows in (("positives.jsonl", positives), ("negatives.jsonl", negatives)):
-        written[name] = write_jsonl(out / name, (s.to_row() for s in rows))
+        written[name] = write_jsonl(out / name, (s.to_json() for s in rows))
 
     if positives:
         dataset_ref = os.path.relpath(out / "positives.jsonl", workspace).replace(os.sep, "/")

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from ..atomic import json_fields, json_number
-from ..corpus import Sample
-from ..errors import ResumeStateCorrupt
+from ..atomic import json_fields
+from ..corpus import Label, SpeechUsed, label_for
 
 __all__ = [
     "Label",
@@ -17,22 +17,11 @@ __all__ = [
     "SpeechSource",
     "RoundStatus",
     "label_for",
-    "ScoredSample",
     "RoundState",
     "EvolutionConfig",
     "Backends",
     "ModelVersion",
 ]
-
-
-class Label(str, enum.Enum):
-    POSITIVE = "Positive"
-    NEGATIVE = "Negative"
-
-
-class SpeechUsed(str, enum.Enum):
-    AUTHENTIC = "Authentic"
-    SYNTHETIC = "Synthetic"
 
 
 class SpeechSource(str, enum.Enum):
@@ -47,69 +36,11 @@ class RoundStatus(str, enum.Enum):
     MAX_ROUNDS = "MaxRounds"
 
 
-def label_for(s1: float, s2: float) -> Label:
-    """Positive only when speech strictly helps; ties are Negative."""
-    return Label.POSITIVE if s2 > s1 else Label.NEGATIVE
-
-
 def _check_unit(name: str, value: float) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0,1], got {value}")
     return value
-
-
-@dataclass(frozen=True)
-class ScoredSample:
-    """Labeled outcome of one refinement comparison.
-
-    s1 scores the text-only translation, s2 the speech-guided one, and the
-    label follows from them. The full Sample is kept so manifests can be
-    written without a second lookup.
-    """
-
-    sample: Sample
-    speech_used: SpeechUsed
-    s1: float
-    s2: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "speech_used", SpeechUsed(self.speech_used))
-        object.__setattr__(self, "s1", _check_unit("s1", self.s1))
-        object.__setattr__(self, "s2", _check_unit("s2", self.s2))
-
-    @property
-    def label(self) -> Label:
-        return label_for(self.s1, self.s2)
-
-    def to_row(self) -> Dict[str, object]:
-        """Manifest row: the full sample record plus the refinement verdict."""
-        row = self.sample.to_json()
-        row.update(
-            s1=self.s1,
-            s2=self.s2,
-            label=self.label.value,
-            speech_used=self.speech_used.value,
-        )
-        return row
-
-    @classmethod
-    def from_row(cls, sample: Sample) -> "ScoredSample":
-        """Rebuild the scored record from a journaled row, loaded as a Sample.
-        The row's label must be the one its scores give."""
-        ann = sample.annotations
-        try:
-            scored = cls(sample, ann["speech_used"], json_number(ann["s1"]),
-                         json_number(ann["s2"]))
-            if Label(ann["label"]) is not scored.label:
-                raise ValueError(
-                    f"label {ann['label']} contradicts s1={scored.s1}, s2={scored.s2}"
-                )
-            return scored
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ResumeStateCorrupt(
-                f"scored manifest row for {sample.id} is inconsistent: {exc}"
-            ) from exc
 
 
 @dataclass(frozen=True)
@@ -164,8 +95,8 @@ class EvolutionConfig:
     fixed_eval_voice: str = ""
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be a finite number > 0, got {self.epsilon}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.max_rounds < 1:

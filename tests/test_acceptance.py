@@ -11,19 +11,19 @@ import json
 import random
 import socket
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from evoloop.backends.mock import LookupTranslator
 from evoloop.cli import main as cli_main
-from evoloop.corpus import Sample, load_manifest
+from evoloop.corpus import Sample, Verdict, load_manifest
 from evoloop.curriculum import ADAPTER_META, Stage, Trainable, plan_stages
 from evoloop.evolution import (
     EvolutionConfig,
     Label,
     RoundStatus,
-    ScoredSample,
     SpeechUsed,
     label_for,
     partition_and_emit,
@@ -222,13 +222,13 @@ def test_labeling_partition_and_rank_invariance(tmp_path):
         s1, s2 = _grid_score(rng), _grid_score(rng)
         if i % 7 == 0:
             s2 = s1  # force ties into the set; they must land Negative
-        scored.append(ScoredSample(sample, SpeechUsed.SYNTHETIC, s1, s2))
+        scored.append(replace(sample, verdict=Verdict(SpeechUsed.SYNTHETIC, s1, s2)))
 
     base = partition_and_emit(scored, 1, str(tmp_path / "base"), workspace=str(tmp_path))
     pos_ids = {s.id for s in load_manifest(tmp_path / "base" / "positives.jsonl")}
     neg_ids = {s.id for s in load_manifest(tmp_path / "base" / "negatives.jsonl")}
     assert pos_ids.isdisjoint(neg_ids)
-    assert pos_ids | neg_ids == {s.sample.id for s in scored}
+    assert pos_ids | neg_ids == {s.id for s in scored}
     assert (len(pos_ids), len(neg_ids)) == (base.n_positive, base.n_negative)
     assert base.n_negative >= 9  # at least the forced ties
 
@@ -241,10 +241,10 @@ def test_labeling_partition_and_rank_invariance(tmp_path):
             return lo + (hi - lo) * x ** gamma
 
         relabeled = [
-            ScoredSample(s.sample, s.speech_used, g(s.s1), g(s.s2))
+            replace(s, verdict=Verdict(s.verdict.speech_used, g(s.verdict.s1), g(s.verdict.s2)))
             for s in scored
         ]
-        assert [r.label for r in relabeled] == [s.label for s in scored]
+        assert [r.verdict.label for r in relabeled] == [s.verdict.label for s in scored]
         out = tmp_path / f"rescored{t}"
         partition_and_emit(relabeled, 1, str(out), workspace=str(tmp_path))
         assert {x.id for x in load_manifest(out / "positives.jsonl")} == pos_ids
@@ -453,7 +453,7 @@ def test_no_negative_sample_reaches_training_data(tmp_path):
             scored_negs = {
                 s.id
                 for s in load_manifest(round_dir / "scored.jsonl")
-                if s.annotations["label"] == "Negative"
+                if s.verdict.label is Label.NEGATIVE
             }
             assert neg_ids == scored_negs
             negatives_seen += len(neg_ids)

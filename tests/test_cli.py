@@ -230,6 +230,30 @@ def test_validate_strict_rejects_unknown_fields(tmp_path, capsys):
     assert "unknown manifest field" in out
 
 
+VERDICT = {"s1": 0.4, "s2": 0.6, "label": "Positive", "speech_used": "Synthetic"}
+
+
+def test_validate_refuses_each_bad_verdict_by_key(tmp_path, capsys):
+    rows = make_rows(7)
+    bad = [{**VERDICT, "s1": "high"}, {**VERDICT, "s2": float("nan")}, {**VERDICT, "label": 5},
+           {**VERDICT, "speech_used": True}, {**VERDICT, "label": "Negative"},
+           {"s1": 0.4, "s2": 0.6}]
+    path = write_manifest(tmp_path / "m.jsonl",
+                          [{**rows[0], **VERDICT}] + [{**r, **v} for r, v in zip(rows[1:], bad)])
+    for strict in ([], ["--strict"]):
+        code, out = run_cli(["validate", path, *strict], capsys)
+        assert code == 1
+        assert out.splitlines() == [
+            "line 2: malformed JSON: bad verdict: s1: expected a number, got 'high'",
+            "line 3: malformed JSON: bad verdict: s2: expected a finite number, got nan",
+            "line 4: malformed JSON: bad verdict: label: expected a string, got 5",
+            "line 5: malformed JSON: bad verdict: speech_used: expected a string, got True",
+            "line 6: malformed JSON: bad verdict: label: Negative contradicts s1=0.4, s2=0.6",
+            "line 7: malformed JSON: bad verdict: lacks 'speech_used'",
+            "1 valid, 6 invalid",
+        ]
+
+
 # --- config precedence ------------------------------------------------------
 
 def parse(argv):
@@ -356,6 +380,8 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys, config, key):
      "evolution.epsilon: expected a finite number, got nan"),
     ({"endpoints": {"tts": {"timeout_s": float("inf")}}},
      "endpoints.tts.timeout_s: expected a finite number, got inf"),
+    ({"voices": ["", "v1"]}, "voices config must not hold an empty voice id"),
+    ({"voices": ["v1", ""]}, "voices config must not hold an empty voice id"),
 ])
 def test_bad_endpoints_or_voices_config_is_usage_error(corpus_dir, capsys, config, message):
     conf = corpus_dir / "conf.json"
@@ -419,9 +445,13 @@ def test_config_integer_is_taken_for_a_float_field(tmp_path):
     assert isinstance(cfg.endpoints["tts"].timeout_s, float)
 
 
-def test_invalid_epsilon_flag_is_usage_error(corpus_dir):
-    with pytest.raises(UsageError):
-        load_run_config(parse(loop_argv(corpus_dir, extra=["--epsilon", "-1"])))
+def test_invalid_epsilon_flag_is_usage_error(corpus_dir, capsys):
+    for value in ("-1", "0", "nan", "inf", "1e400"):
+        with pytest.raises(UsageError):
+            load_run_config(parse(loop_argv(corpus_dir, extra=["--epsilon", value])))
+        code, err = run_cli_err(loop_argv(corpus_dir, extra=["--epsilon", value]), capsys)
+        assert code == 2
+        assert "invalid --epsilon: epsilon must be a finite number > 0" in err
 
 
 def test_endpoints_required_without_mock(corpus_dir, capsys):
@@ -512,6 +542,26 @@ def test_synth_translate_score_classify(corpus_dir, capsys):
     jobspec = json.loads((ws / "classify" / "jobspec.json").read_text())
     assert jobspec["stage"] == "ContinualSMT"
     assert jobspec["datasets"] == ["classify/positives.jsonl"]
+
+
+def test_synth_keeps_a_valid_verdict_and_never_writes_nan(corpus_dir, capsys):
+    ws = corpus_dir / "ws"
+    rows = make_rows(2)
+    path = write_manifest(corpus_dir / "m.jsonl", [{**rows[0], **VERDICT}, rows[1]])
+    code, _ = run_cli(["synth", path, "--workspace", ws, "--mock",
+                       "--out", ws / "synth.jsonl"], capsys)
+    assert code == 0
+    first, second = (json.loads(l) for l in (ws / "synth.jsonl").read_text().splitlines())
+    assert {key: first[key] for key in VERDICT} == VERDICT
+    assert not set(VERDICT) & set(second)
+
+    write_manifest(path, [{**rows[0], **VERDICT, "s2": float("nan")}])
+    assert b"NaN" in path.read_bytes()
+    code, err = run_cli_err(["synth", path, "--workspace", ws, "--mock",
+                             "--out", ws / "nan.jsonl"], capsys)
+    assert code == 1
+    assert "line 1: malformed JSON: bad verdict: s2: expected a finite number, got nan" in err
+    assert not (ws / "nan.jsonl").exists()
 
 
 def test_translate_text_mode_drops_final_token(corpus_dir, capsys):

@@ -10,8 +10,11 @@ import pytest
 from evoloop import corpus
 from evoloop.corpus import (
     AudioRef,
+    Label,
     ResourceLevel,
     Sample,
+    SpeechUsed,
+    Verdict,
     hash_sample,
     load_manifest,
     resource_level,
@@ -266,13 +269,17 @@ class TestLoadManifest:
             load_manifest(p, strict=True)
         assert exc.value.field == "extra_field"
 
-    def test_annotation_fields_survive_strict_mode(self, tmp_path):
+    def test_verdict_fields_are_parsed_in_strict_mode(self, tmp_path):
         p = tmp_path / "m.jsonl"
-        _write_lines(p, [_line(s1=0.4, s2=0.6, label="Positive", speech_used=True)])
-        (sample,) = load_manifest(p, strict=True)
-        assert sample.annotations == {
-            "s1": 0.4, "s2": 0.6, "label": "Positive", "speech_used": True,
-        }
+        _write_lines(p, [_line(**VERDICT), _line()])
+        verdict, none = (s.verdict for s in load_manifest(p, strict=True))
+        assert verdict == Verdict(SpeechUsed.SYNTHETIC, 0.4, 0.6)
+        assert verdict.label is Label.POSITIVE
+        assert none is None
+        _write_lines(p, [_line(**{**VERDICT, "speech_used": True})])
+        with pytest.raises(MalformedLine, match=re.escape(
+                "bad verdict: speech_used: expected a string, got True")):
+            load_manifest(p, strict=True)
 
     def test_audio_objects_parse(self, tmp_path):
         p = tmp_path / "m.jsonl"
@@ -295,6 +302,7 @@ class TestLoadManifest:
 
 
 AUDIO = {"uri": "audio/a.wav", "duration_s": 1.5, "sample_rate_hz": 16000, "voice_id": "v01"}
+VERDICT = {"s1": 0.4, "s2": 0.6, "label": "Positive", "speech_used": "Synthetic"}
 
 
 class TestManifestJsonTypes:
@@ -333,11 +341,26 @@ class TestManifestJsonTypes:
         ({"degraded": "no"}, "degraded: expected a boolean, got 'no'"),
         ({"degraded": 1}, "degraded: expected a boolean, got 1"),
         ({"degraded": None}, "degraded: expected a boolean, got None"),
+        ({**VERDICT, "s1": "high"}, "bad verdict: s1: expected a number, got 'high'"),
+        ({**VERDICT, "s2": float("nan")}, "bad verdict: s2: expected a finite number, got nan"),
+        ({**VERDICT, "s1": True}, "bad verdict: s1: expected a number, got True"),
+        ({**VERDICT, "s2": 1.5}, "bad verdict: s2 must lie in [0,1], got 1.5"),
+        ({**VERDICT, "label": 5}, "bad verdict: label: expected a string, got 5"),
+        ({**VERDICT, "label": "Maybe"}, "bad verdict: label: 'Maybe' is not a valid Label"),
+        ({**VERDICT, "label": "Negative"},
+         "bad verdict: label: Negative contradicts s1=0.4, s2=0.6"),
+        ({**VERDICT, "speech_used": "Both"},
+         "bad verdict: speech_used: 'Both' is not a valid SpeechUsed"),
+        ({"s1": 0.4, "s2": 0.6, "speech_used": "Synthetic"}, "bad verdict: lacks 'label'"),
+        ({"label": "Positive"}, "bad verdict: lacks 'speech_used'"),
+        ({**VERDICT, "s1": None}, "bad verdict: s1: expected a number, got None"),
     ], ids=["duration-bool", "duration-string", "rate-bool", "rate-string", "rate-2.5",
             "uri-int", "voice-int", "uri-missing", "audio-a-string", "audio-empty",
             "audio-false", "duration-NaN",
             "duration-Infinity", "duration-minus-Infinity", "degraded-string",
-            "degraded-int", "degraded-null"])
+            "degraded-int", "degraded-null", "s1-string", "s2-NaN", "s1-bool",
+            "s2-above-1", "label-int", "label-unknown", "label-contradicts",
+            "speech-used-unknown", "label-missing", "verdict-partial", "s1-null"])
     def test_mistyped_value_is_refused_by_key(self, tmp_path, strict, overrides, message):
         p = tmp_path / "m.jsonl"
         _write_lines(p, [_line(), _line(text="Two.", **overrides)])
@@ -407,22 +430,25 @@ class TestRoundTrip:
         save_manifest(load_manifest(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_annotations_round_trip(self, tmp_path):
-        s = Sample.build("eng", "fra", "One.", "Un.")
-        s = Sample(**{**s.__dict__, "annotations": {"s1": 0.25, "s2": 0.75,
-                                                    "label": "Positive",
-                                                    "speech_used": True}})
-        path = tmp_path / "ann.jsonl"
+    def test_verdict_round_trip(self, tmp_path):
+        s = Sample.build("eng", "fra", "One.", "Un.",
+                         verdict=Verdict(SpeechUsed.AUTHENTIC, 0.75, 0.25))
+        path = tmp_path / "verdict.jsonl"
         save_manifest([s], path)
-        assert load_manifest(path, strict=True)[0].annotations == s.annotations
+        row = json.loads(path.read_text(encoding="utf-8"))
+        assert {k: row[k] for k in ("s1", "s2", "label", "speech_used")} == {
+            "s1": 0.75, "s2": 0.25, "label": "Negative", "speech_used": "Authentic"}
+        assert load_manifest(path, strict=True)[0].verdict == s.verdict
+        save_manifest(load_manifest(path, strict=True), tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         good = [Sample.build("eng", "fra", f"One {i}.", f"Un {i}.") for i in range(3)]
         path = tmp_path / "m.jsonl"
         save_manifest(good, path)
         before = path.read_bytes()
-        # json cannot encode a set: the third row raises after two encode fine
-        bad = Sample(**{**good[0].__dict__, "annotations": {"s1": {0.5}}})
+        # json cannot encode bytes: the third row raises after two encode fine
+        bad = Sample(**{**good[0].__dict__, "reference": b"Un 0."})
         with pytest.raises(TypeError):
             save_manifest(good[:2] + [bad], path)
         assert path.read_bytes() == before

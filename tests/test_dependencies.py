@@ -54,14 +54,27 @@ def test_https_transport_loads_ssl():
     assert "http.client" not in added
 
 
-def test_atomic_loads_no_other_evoloop_module():
-    # every layer reads and writes JSON through atomic, so it may not import one
+def evoloop_modules_after(module: str) -> list[str]:
+    """The evoloop modules a fresh interpreter holds after `import module`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    probe = "import sys, evoloop.atomic; print(sorted(m for m in sys.modules if 'evoloop' in m))"
+    probe = (f"import json, sys, {module}; "
+             "print(json.dumps(sorted(m for m in sys.modules if 'evoloop' in m)))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.splitlines()[-1] == "['evoloop', 'evoloop.atomic']"
+    return json.loads(out.splitlines()[-1])
+
+
+def test_atomic_loads_no_other_evoloop_module():
+    # every layer reads and writes JSON through atomic, so it may not import one
+    assert evoloop_modules_after("evoloop.atomic") == ["evoloop", "evoloop.atomic"]
+
+
+def test_corpus_loads_no_evolution_module():
+    # the verdict type lives in corpus, so a manifest reader needs no loop code
+    loaded = evoloop_modules_after("evoloop.corpus")
+    assert "evoloop.corpus" in loaded
+    assert [m for m in loaded if m.startswith("evoloop.evolution")] == []
 
 
 DEFERRED = ("socket", "subprocess", "csv", "concurrent.futures")

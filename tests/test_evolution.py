@@ -23,7 +23,7 @@ from evoloop.backends.mock import (
     MockTts,
     ScheduledScorer,
 )
-from evoloop.corpus import AudioRef, Sample, load_manifest
+from evoloop.corpus import AudioRef, Sample, Verdict, load_manifest
 from evoloop.errors import (
     EmptyEvalSet,
     EmptyInput,
@@ -40,7 +40,6 @@ from evoloop.evolution import (
     ModelVersion,
     RoundState,
     RoundStatus,
-    ScoredSample,
     SpeechSource,
     SpeechUsed,
     check_convergence,
@@ -106,42 +105,36 @@ class TestLabelRule:
             expected = Label.POSITIVE if s2 > s1 else Label.NEGATIVE
             assert label_for(s1, s2) is expected
 
-    def test_scored_sample_derives_label(self):
-        sample = make_samples(1)[0]
-        assert [f.name for f in dataclasses.fields(ScoredSample)] == \
-            ["sample", "speech_used", "s1", "s2"]
-        assert ScoredSample(sample, SpeechUsed.SYNTHETIC, 0.5, 0.6).label is Label.POSITIVE
-        assert ScoredSample(sample, SpeechUsed.SYNTHETIC, 0.6, 0.6).label is Label.NEGATIVE
+    def test_verdict_derives_label(self):
+        assert [f.name for f in dataclasses.fields(Verdict)] == ["speech_used", "s1", "s2"]
+        assert Verdict(SpeechUsed.SYNTHETIC, 0.5, 0.6).label is Label.POSITIVE
+        assert Verdict(SpeechUsed.SYNTHETIC, 0.6, 0.6).label is Label.NEGATIVE
+        assert Verdict(SpeechUsed.SYNTHETIC, 0.5, 0.6).to_json() == {
+            "s1": 0.5, "s2": 0.6, "label": "Positive", "speech_used": "Synthetic"}
 
     def test_contradictory_label_rejected(self):
-        sample = make_samples(1)[0]
         for label, s1, s2 in [("Negative", 0.5, 0.6), ("Positive", 0.6, 0.6)]:
             row = {"s1": s1, "s2": s2, "label": label, "speech_used": "Synthetic"}
-            message = (f"scored manifest row for {sample.id} is inconsistent: "
-                       f"label {label} contradicts s1={s1}, s2={s2}")
-            with pytest.raises(ResumeStateCorrupt, match=re.escape(message)):
-                ScoredSample.from_row(dataclasses.replace(sample, annotations=row))
+            message = f"label: {label} contradicts s1={s1}, s2={s2}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Verdict.from_json(row)
 
     def test_scores_bounded(self):
-        sample = make_samples(1)[0]
-        with pytest.raises(ValueError):
-            ScoredSample(sample, SpeechUsed.SYNTHETIC, s1=-0.1, s2=0.5)
-        with pytest.raises(ValueError):
-            ScoredSample(sample, SpeechUsed.SYNTHETIC, s1=0.5, s2=1.2)
+        with pytest.raises(ValueError, match=re.escape("s1 must lie in [0,1], got -0.1")):
+            Verdict(SpeechUsed.SYNTHETIC, s1=-0.1, s2=0.5)
+        with pytest.raises(ValueError, match=re.escape("s2 must lie in [0,1], got 1.2")):
+            Verdict(SpeechUsed.SYNTHETIC, s1=0.5, s2=1.2)
 
     @pytest.mark.parametrize("key, value", [
         ("s1", True), ("s2", "1"), ("s1", None), ("s2", [0.6]),
     ])
     def test_journaled_row_keeps_json_types(self, key, value):
-        sample = make_samples(1)[0]
         row = {"s1": 0.5, "s2": 0.6, "label": "Positive", "speech_used": "Synthetic"}
-        assert ScoredSample.from_row(dataclasses.replace(sample, annotations=row)) == \
-            ScoredSample(sample, SpeechUsed.SYNTHETIC, 0.5, 0.6)
+        assert Verdict.from_json(row) == Verdict(SpeechUsed.SYNTHETIC, 0.5, 0.6)
         row[key] = value
-        message = (f"scored manifest row for {sample.id} is inconsistent: "
-                   f"expected a number, got {value!r}")
-        with pytest.raises(ResumeStateCorrupt, match=re.escape(message)):
-            ScoredSample.from_row(dataclasses.replace(sample, annotations=row))
+        message = f"{key}: expected a number, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Verdict.from_json(row)
 
 
 # --- voice selection -------------------------------------------------------
@@ -272,9 +265,9 @@ class TestRefinement:
         (scored,) = run_refinement(
             acquired, EvolutionConfig(), translate, score, max_in_flight=WIDTH
         )
-        assert scored.s1 == pytest.approx(0.8)
-        assert scored.s2 == pytest.approx(1.0)
-        assert scored.label is Label.POSITIVE
+        assert scored.verdict.s1 == pytest.approx(0.8)
+        assert scored.verdict.s2 == pytest.approx(1.0)
+        assert scored.verdict.label is Label.POSITIVE
 
     def test_tie_labels_negative(self, tmp_path):
         sample = Sample.build("eng", "khm", "alpha beta gamma", "alpha beta gamma")
@@ -283,8 +276,8 @@ class TestRefinement:
         (scored,) = run_refinement(
             acquired, EvolutionConfig(), translate, score, max_in_flight=WIDTH
         )
-        assert scored.s1 == scored.s2
-        assert scored.label is Label.NEGATIVE
+        assert scored.verdict.s1 == scored.verdict.s2
+        assert scored.verdict.label is Label.NEGATIVE
 
     def test_degraded_skipped(self, tmp_path):
         samples = make_samples(3)
@@ -294,7 +287,7 @@ class TestRefinement:
         )
         translate, score = simple_clients(tmp_path)
         scored = run_refinement(acquired, EvolutionConfig(), translate, score, max_in_flight=WIDTH)
-        assert [s.sample.id for s in scored] == [acquired[0].id, acquired[2].id]
+        assert [s.id for s in scored] == [acquired[0].id, acquired[2].id]
 
     def test_missing_audio(self, tmp_path):
         translate, score = simple_clients(tmp_path)
@@ -319,13 +312,13 @@ class TestRefinement:
             translate, score,
             max_in_flight=WIDTH,
         )
-        assert scored.speech_used is SpeechUsed.AUTHENTIC
+        assert scored.verdict.speech_used is SpeechUsed.AUTHENTIC
         (scored,) = run_refinement(
             [both], EvolutionConfig(speech_source=SpeechSource.PREFER_SYNTHETIC),
             translate, score,
             max_in_flight=WIDTH,
         )
-        assert scored.speech_used is SpeechUsed.SYNTHETIC
+        assert scored.verdict.speech_used is SpeechUsed.SYNTHETIC
 
     def test_prefer_authentic_falls_back_to_synthetic(self, tmp_path):
         acquired = acquire(tmp_path, make_samples(1))
@@ -335,25 +328,25 @@ class TestRefinement:
             translate, score,
             max_in_flight=WIDTH,
         )
-        assert scored.speech_used is SpeechUsed.SYNTHETIC
+        assert scored.verdict.speech_used is SpeechUsed.SYNTHETIC
 
     def test_deterministic(self, tmp_path):
         acquired = acquire(tmp_path, make_samples(6))
         translate, score = simple_clients(tmp_path)
         a = run_refinement(acquired, EvolutionConfig(), translate, score, max_in_flight=WIDTH)
         b = run_refinement(acquired, EvolutionConfig(), translate, score, max_in_flight=WIDTH)
-        assert a == b
+        assert [(s.id, s.verdict) for s in a] == [(s.id, s.verdict) for s in b]
 
 
 # --- partition ---------------------------------------------------------------
 
 def synthetic_scored(pairs, start=0):
-    """ScoredSamples with given (s1, s2), texts unique per index."""
-    out = []
-    for i, (s1, s2) in enumerate(pairs, start=start):
-        sample = Sample.build("eng", "lao", f"text number {i}", f"ref number {i}")
-        out.append(ScoredSample(sample, SpeechUsed.SYNTHETIC, s1, s2))
-    return out
+    """Samples carrying verdicts with given (s1, s2), texts unique per index."""
+    return [
+        Sample.build("eng", "lao", f"text number {i}", f"ref number {i}",
+                     verdict=Verdict(SpeechUsed.SYNTHETIC, s1, s2))
+        for i, (s1, s2) in enumerate(pairs, start=start)
+    ]
 
 
 class TestPartition:
@@ -368,8 +361,8 @@ class TestPartition:
         }
         pos = load_manifest(out / "positives.jsonl", strict=True)
         neg = load_manifest(out / "negatives.jsonl", strict=True)
-        assert {s.id for s in pos} == {scored[0].sample.id, scored[3].sample.id}
-        assert {s.id for s in neg} == {scored[1].sample.id, scored[2].sample.id}
+        assert {s.id for s in pos} == {scored[0].id, scored[3].id}
+        assert {s.id for s in neg} == {scored[1].id, scored[2].id}
         assert result.jobspec is not None
         assert list(result.jobspec.datasets) == ["r1/positives.jsonl"]
 
@@ -381,9 +374,9 @@ class TestPartition:
         pos_ids = {s.id for s in load_manifest(tmp_path / "r2" / "positives.jsonl")}
         neg_ids = {s.id for s in load_manifest(tmp_path / "r2" / "negatives.jsonl")}
         assert pos_ids.isdisjoint(neg_ids)
-        assert pos_ids | neg_ids == {s.sample.id for s in scored}
+        assert pos_ids | neg_ids == {s.id for s in scored}
         for item in scored:
-            assert (item.sample.id in pos_ids) == (item.s2 > item.s1)
+            assert (item.id in pos_ids) == (item.verdict.s2 > item.verdict.s1)
 
     def test_manifest_rows_carry_scores(self, tmp_path):
         scored = synthetic_scored([(0.25, 0.75)])
@@ -437,13 +430,11 @@ class TestPartition:
 
             mapped = []
             for item, (s1, s2) in zip(scored, pairs):
-                mapped.append(
-                    ScoredSample(
-                        item.sample, item.speech_used, transform(s1), transform(s2)
-                    )
-                )
+                mapped.append(dataclasses.replace(
+                    item, verdict=Verdict(item.verdict.speech_used, transform(s1), transform(s2))
+                ))
             for before, after in zip(scored, mapped):
-                assert after.label is before.label
+                assert after.verdict.label is before.verdict.label
             out = partition_and_emit(mapped, 1, str(tmp_path / f"t{trial}"),
                                      workspace=str(tmp_path))
             out_dir = tmp_path / f"t{trial}"
@@ -569,7 +560,7 @@ class TestFailuresWithinBudget:
         translate, _ = simple_clients(tmp_path)
         score = ScoreClient(FailingScorer([failed.text]), ContentCache(tmp_path / "c2"))
         scored = run_refinement(acquired, EvolutionConfig(), translate, score, max_in_flight=WIDTH)
-        assert [s.sample.id for s in scored] == [s.id for s in acquired if s is not failed]
+        assert [s.id for s in scored] == [s.id for s in acquired if s is not failed]
         assert f"refinement failed for {failed.id}" in caplog.text
 
     def test_refinement_second_failure_exceeds_budget(self, tmp_path):
